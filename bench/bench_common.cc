@@ -5,7 +5,9 @@
 
 #include "bench_common.hh"
 
+#include <charconv>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <iostream>
 
@@ -113,5 +115,30 @@ toXs(const std::vector<int> &values)
         xs.push_back(static_cast<double>(v));
     return xs;
 }
+
+template <typename T>
+T
+numericFlag(const char *prog, const char *flag, const char *text,
+            const char *want, T lo, T hi)
+{
+    const char *end = text + std::strlen(text);
+    T value{};
+    const auto [ptr, ec] = std::from_chars(text, end, value);
+    // NaN fails both comparisons, and infinities fall outside any
+    // finite range, so only finite in-range values pass.
+    if (ec != std::errc{} || ptr != end ||
+        !(value >= lo && value <= hi)) {
+        std::fprintf(stderr, "%s: %s wants %s, got '%s'\n", prog, flag,
+                     want, text);
+        std::exit(2);
+    }
+    return value;
+}
+
+template int numericFlag<int>(const char *, const char *, const char *,
+                              const char *, int, int);
+template double numericFlag<double>(const char *, const char *,
+                                    const char *, const char *, double,
+                                    double);
 
 } // namespace syncperf::bench

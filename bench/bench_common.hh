@@ -11,6 +11,7 @@
 #ifndef SYNCPERF_BENCH_BENCH_COMMON_HH
 #define SYNCPERF_BENCH_BENCH_COMMON_HH
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -56,6 +57,18 @@ void emitFigure(const core::Figure &figure, const Options &opt);
 
 /** Convert a sweep of ints to chart x values. */
 std::vector<double> toXs(const std::vector<int> &values);
+
+/**
+ * Parse the value @p text of command-line flag @p flag strictly: the
+ * whole token must be a number of type T (so "abc", "4x", "" and,
+ * for an integer T, "2.5" are rejected) within [@p lo, @p hi]. On
+ * any failure print "<prog>: <flag> wants <want>, got '<text>'" to
+ * stderr and exit 2. Instantiated for int and double.
+ */
+template <typename T>
+T numericFlag(const char *prog, const char *flag, const char *text,
+              const char *want, T lo,
+              T hi = std::numeric_limits<T>::max());
 
 } // namespace syncperf::bench
 

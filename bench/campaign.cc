@@ -35,6 +35,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -44,6 +45,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "bench_common.hh"
 #include "common/flight_recorder.hh"
 #include "common/json.hh"
 #include "common/metrics.hh"
@@ -60,6 +62,7 @@
 
 using namespace syncperf;
 using namespace syncperf::core;
+using syncperf::bench::numericFlag;
 
 namespace
 {
@@ -388,8 +391,10 @@ main(int argc, char **argv)
     bool progress = false;
     bool trace_shard = false;
     std::string only_raw, cov_gate_raw;
-    std::string snapshot_dir;
     bool machine_pool_on = true;
+    // Lower bound for flags that want a strictly positive value.
+    constexpr double min_positive =
+        std::numeric_limits<double>::denorm_min();
     std::vector<std::string> only;
     MeasurementConfig omp_protocol = MeasurementConfig::simDefaults();
     MeasurementConfig cuda_protocol = MeasurementConfig::simGpuDefaults();
@@ -406,25 +411,21 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--resume") == 0) {
             options.resume = true;
         } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-            options.jobs = std::atoi(argv[++i]);
+            options.jobs = numericFlag(argv[0], argv[i], argv[i + 1],
+                                       "a count >= 1", 1);
+            ++i;
             jobs_given = true;
-            if (options.jobs < 1) {
-                std::fprintf(stderr, "%s: --jobs wants a count >= 1\n",
-                             argv[0]);
-                return 2;
-            }
         } else if (std::strcmp(argv[i], "--checkpoint-every") == 0 &&
                    i + 1 < argc) {
-            options.checkpoint_every = std::atoi(argv[++i]);
+            options.checkpoint_every =
+                numericFlag(argv[0], argv[i], argv[i + 1],
+                            "a count >= 0 (0 = auto)", 0);
+            ++i;
         } else if (std::strcmp(argv[i], "--shards") == 0 &&
                    i + 1 < argc) {
-            shards = std::atoi(argv[++i]);
-            if (shards < 1) {
-                std::fprintf(stderr,
-                             "%s: --shards wants a count >= 1\n",
-                             argv[0]);
-                return 2;
-            }
+            shards = numericFlag(argv[0], argv[i], argv[i + 1],
+                                 "a count >= 1", 1);
+            ++i;
         } else if (std::strcmp(argv[i], "--shard-worker") == 0 &&
                    i + 1 < argc) {
             auto spec = parseShardSpec(argv[++i]);
@@ -440,13 +441,20 @@ main(int argc, char **argv)
             shard_extra_file = argv[++i];
         } else if (std::strcmp(argv[i], "--shard-timeout") == 0 &&
                    i + 1 < argc) {
-            shard_options.heartbeat_timeout_s = std::atof(argv[++i]);
+            shard_options.heartbeat_timeout_s =
+                numericFlag(argv[0], argv[i], argv[i + 1],
+                            "seconds > 0", min_positive);
+            ++i;
         } else if (std::strcmp(argv[i], "--shard-max-retries") == 0 &&
                    i + 1 < argc) {
-            shard_options.max_retries = std::atoi(argv[++i]);
+            shard_options.max_retries = numericFlag(
+                argv[0], argv[i], argv[i + 1], "a count >= 0", 0);
+            ++i;
         } else if (std::strcmp(argv[i], "--shard-backoff-ms") == 0 &&
                    i + 1 < argc) {
-            shard_options.backoff_base_ms = std::atoi(argv[++i]);
+            shard_options.backoff_base_ms = numericFlag(
+                argv[0], argv[i], argv[i + 1], "milliseconds >= 0", 0);
+            ++i;
         } else if (std::strcmp(argv[i], "--shard-report") == 0 &&
                    i + 1 < argc) {
             shard_report_file = argv[++i];
@@ -466,14 +474,10 @@ main(int argc, char **argv)
             status_file = argv[++i];
         } else if (std::strcmp(argv[i], "--status-interval") == 0 &&
                    i + 1 < argc) {
-            status_interval = std::atof(argv[++i]);
-            if (status_interval <= 0) {
-                std::fprintf(stderr,
-                             "%s: --status-interval wants seconds "
-                             "> 0\n",
-                             argv[0]);
-                return 2;
-            }
+            status_interval =
+                numericFlag(argv[0], argv[i], argv[i + 1],
+                            "seconds > 0", min_positive);
+            ++i;
         } else if (std::strcmp(argv[i], "--progress") == 0) {
             progress = true;
         } else if (std::strcmp(argv[i], "--trace-shard") == 0) {
@@ -482,8 +486,10 @@ main(int argc, char **argv)
             trace_shard = true;
         } else if (std::strcmp(argv[i], "--cov-gate") == 0 &&
                    i + 1 < argc) {
+            const double gate =
+                numericFlag(argv[0], argv[i], argv[i + 1],
+                            "a coefficient of variation >= 0", 0.0);
             cov_gate_raw = argv[++i];
-            const double gate = std::atof(cov_gate_raw.c_str());
             omp_protocol.cov_gate = gate;
             cuda_protocol.cov_gate = gate;
         } else if (std::strcmp(argv[i], "--no-sim-cache") == 0) {
@@ -498,19 +504,12 @@ main(int argc, char **argv)
             cuda_protocol.machine_pool = false;
         } else if (std::strcmp(argv[i], "--lanes") == 0 &&
                    i + 1 < argc) {
-            options.lanes = std::atoi(argv[++i]);
-            if (options.lanes < 1) {
-                std::fprintf(stderr,
-                             "%s: --lanes wants a width >= 1 (use "
-                             "--no-lanes to disable grouping)\n",
-                             argv[0]);
-                return 2;
-            }
+            options.lanes = numericFlag(
+                argv[0], argv[i], argv[i + 1],
+                "a width >= 1 (use --no-lanes to disable grouping)", 1);
+            ++i;
         } else if (std::strcmp(argv[i], "--no-lanes") == 0) {
             options.lanes = 0;
-        } else if (std::strcmp(argv[i], "--snapshot-dir") == 0 &&
-                   i + 1 < argc) {
-            snapshot_dir = argv[++i];
         } else if (std::strcmp(argv[i], "--telemetry") == 0) {
             omp_protocol.telemetry = true;
             cuda_protocol.telemetry = true;
@@ -535,7 +534,6 @@ main(int argc, char **argv)
                 "[--only NAME[,NAME...]] "
                 "[--no-sim-cache] [--no-loop-batch] "
                 "[--no-machine-pool] [--lanes N] [--no-lanes] "
-                "[--snapshot-dir DIR] "
                 "[--telemetry] [--explain] "
                 "[--explain-only] [--trace FILE] [--metrics FILE] "
                 "[--metrics-summary] [--status FILE] "
@@ -589,13 +587,6 @@ main(int argc, char **argv)
                 "every point on its own\n"
                 "             simulator (the reference leg; output is "
                 "byte-identical either way).\n"
-                "  --snapshot-dir DIR  persist decoded program images "
-                "to DIR and load past\n"
-                "             decoding on later runs (shared across "
-                "processes/shards; corrupt or\n"
-                "             stale files are rejected and rebuilt; "
-                "output is byte-identical\n"
-                "             either way).\n"
                 "  --only     run only systems whose sanitized name "
                 "contains a given fragment.\n"
                 "  --trace FILE     record spans, write Chrome trace "
@@ -643,7 +634,6 @@ main(int argc, char **argv)
                    std::strcmp(argv[i], "--metrics") == 0 ||
                    std::strcmp(argv[i], "--status") == 0 ||
                    std::strcmp(argv[i], "--status-interval") == 0 ||
-                   std::strcmp(argv[i], "--snapshot-dir") == 0 ||
                    std::strcmp(argv[i], "--lanes") == 0 ||
                    std::strcmp(argv[i], "--cov-gate") == 0) {
             std::fprintf(stderr, "%s: %s requires a value\n", argv[0],
@@ -771,8 +761,7 @@ main(int argc, char **argv)
     // only, so two snapshots of the same configuration are diffable.
     core::CampaignMetrics::global().reset();
 
-    core::MachinePool::global().configure(
-        {machine_pool_on, snapshot_dir});
+    core::MachinePool::global().configure({machine_pool_on, ""});
 
     // The systems this invocation covers, in canonical order.
     std::vector<cpusim::CpuConfig> cpus;
@@ -920,10 +909,6 @@ main(int argc, char **argv)
         } else if (options.lanes != CampaignOptions{}.lanes) {
             worker_argv.push_back("--lanes");
             worker_argv.push_back(std::to_string(options.lanes));
-        }
-        if (!snapshot_dir.empty()) {
-            worker_argv.push_back("--snapshot-dir");
-            worker_argv.push_back(snapshot_dir);
         }
         if (omp_protocol.telemetry)
             worker_argv.push_back("--telemetry");

@@ -6,17 +6,16 @@
 # with every layer on -- THE warm baseline, reused as the fast side
 # of every ratio -- then once per disabled layer: --jobs N
 # (parallel), --no-loop-batch (single-stepped simulators), --no-lanes
-# (ungrouped sweep points), --no-machine-pool (cold machines), and a
-# --snapshot-dir pair whose timed second pass warm-starts from
-# on-disk decoded-program images. Every timed leg is best-of-3: the
+# (ungrouped sweep points), and --no-machine-pool (cold machines).
+# Every timed leg is best-of-3: the
 # ratio floors below assert on quotients of sub-second walls, where a
 # single scheduler hiccup is bigger than the margin being asserted,
 # while minima are stable. All single-run result trees -- every
 # repetition of every leg -- must be byte-identical to the warm
 # baseline's. Writes BENCH_campaign.json at the repo root with
 # wall-clock times, ratio speedups, and experiments/sec for each leg,
-# plus machinepool-bench.json with the warm-start numbers on their
-# own (uploaded by CI as an artifact). Compare the JSON across
+# plus machinepool-bench.json with the pool numbers on their own
+# (uploaded by CI as an artifact). Compare the JSON across
 # commits to catch scheduler, per-experiment, loop-batcher, lane, or
 # pool regressions.
 #
@@ -32,7 +31,7 @@
 #                      when wall-clock or experiments/sec regresses
 #                      >15% against the committed BENCH_campaign.json
 #                      (which is left untouched), or a ratio floor
-#                      (loop batching, lanes, warm start) is missed.
+#                      (loop batching, lanes) is missed.
 #                      Used by CI; see docs/performance.md.
 #   --trace-overhead [PCT]
 #                      overhead gate: time the serial leg with and
@@ -52,7 +51,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-usage() { sed -n '2,47p' "$0" | sed 's/^# \{0,1\}//'; }
+usage() { sed -n '2,49p' "$0" | sed 's/^# \{0,1\}//'; }
 
 MODE=bench
 BUILD_DIR="${BUILD_DIR:-build}"
@@ -275,41 +274,6 @@ echo "== bench: cold-machine leg (--no-machine-pool --no-lanes --jobs 1) =="
 NOPOOL_S="$(run_best3 nopool --no-machine-pool --no-lanes --jobs 1)"
 echo "   best of 3: ${NOPOOL_S}s"
 
-# The snapshot pair runs 3-run experiments (--cov-gate with a gate
-# that can never trip) with the launch memoizer off, so each decoded
-# image is actually re-launched: the first pass decodes every launch
-# and writes the images, the timed second pass decodes nothing
-# (images load from disk) and replays pool clones. Identical flags,
-# so the two trees must match each other (they differ from the
-# single-run serial tree by design), and their ratio is the
-# warm-start win -- no separate cold baseline leg needed.
-COV_FLAGS=(--cov-gate 1000000 --no-sim-cache --jobs 1)
-
-# Each repetition gets a fresh snapshot directory so every cold-write
-# pass really decodes and writes (reusing one directory would turn
-# reps 2-3 of the "cold" leg into warm starts).
-echo "== bench: snapshot warm-start pair (--snapshot-dir, 3-run) =="
-SNAPWRITE_S=""
-SNAPSHOT_S=""
-for i in 1 2 3; do
-    SNAP_DIR="$WORK/snapimages.r$i"
-    WDIR="$WORK/snapwrite"
-    SDIR="$WORK/snapshot"
-    if [[ "$i" -gt 1 ]]; then
-        WDIR="$WDIR.r$i"
-        SDIR="$SDIR.r$i"
-    fi
-    W="$(run_leg "$WDIR" "${COV_FLAGS[@]}" --snapshot-dir "$SNAP_DIR")"
-    S="$(run_leg "$SDIR" "${COV_FLAGS[@]}" --snapshot-dir "$SNAP_DIR")"
-    echo "   run $i: cold-write ${W}s, warm ${S}s"
-    SNAPWRITE_S="$(awk -v a="${SNAPWRITE_S:-$W}" -v b="$W" \
-        'BEGIN { print (b < a) ? b : a }')"
-    SNAPSHOT_S="$(awk -v a="${SNAPSHOT_S:-$S}" -v b="$S" \
-        'BEGIN { print (b < a) ? b : a }')"
-done
-SNAPSHOT_FILES="$(find "$WORK/snapimages.r1" -name '*.snap' 2>/dev/null | wc -l)"
-echo "   best of 3: cold-write ${SNAPWRITE_S}s, warm ${SNAPSHOT_S}s (${SNAPSHOT_FILES} images)"
-
 # Untimed status-surface leg: the engine's own final status.json
 # carries its experiments/sec and the layer engagement ratios
 # (sim-cache hit rate, pool warm-clone rate, lane grouping, loop-batch
@@ -341,15 +305,6 @@ for d in "$WORK"/serial.r* "$WORK"/parallel* "$WORK"/nobatch* \
     if ! diff -r "$WORK/serial" "$d" >/dev/null; then
         IDENTICAL=false
         echo "   OUTPUT DIFFERS between the warm baseline and $(basename "$d")" >&2
-    fi
-done
-# The snapshot trees are 3-run (--cov-gate) so they differ from the
-# single-run serial tree by design; they must all match each other.
-for d in "$WORK"/snapwrite.r* "$WORK"/snapshot*; do
-    [[ -d "$d" ]] || continue
-    if ! diff -r "$WORK/snapwrite" "$d" >/dev/null; then
-        IDENTICAL=false
-        echo "   OUTPUT DIFFERS between snapshot legs: snapwrite vs $(basename "$d")" >&2
     fi
 done
 [[ "$IDENTICAL" == true ]] && echo "   byte-identical (all legs, all reps)"
@@ -387,8 +342,6 @@ LANE_SPEEDUP="$(awk -v n="$NOLANES_S" -v s="$SERIAL_S" \
 # pool, so cold-vs-baseline would double-count the lane win.
 POOL_SPEEDUP="$(awk -v n="$NOPOOL_S" -v s="$NOLANES_S" \
     'BEGIN { printf "%.2f", (s > 0) ? n / s : 0 }')"
-WARM_SPEEDUP="$(awk -v n="$SNAPWRITE_S" -v s="$SNAPSHOT_S" \
-    'BEGIN { printf "%.2f", (s > 0) ? n / s : 0 }')"
 
 cat > "$OUT_JSON" <<EOF
 {
@@ -404,13 +357,10 @@ cat > "$OUT_JSON" <<EOF
   "nobatch_wall_s": $NOBATCH_S,
   "nolanes_wall_s": $NOLANES_S,
   "nopool_wall_s": $NOPOOL_S,
-  "snapwrite_wall_s": $SNAPWRITE_S,
-  "snapshot_wall_s": $SNAPSHOT_S,
   "speedup": $SPEEDUP,
   "loop_batch_speedup": $BATCH_SPEEDUP,
   "lane_speedup": $LANE_SPEEDUP,
   "machine_pool_speedup": $POOL_SPEEDUP,
-  "warm_start_speedup": $WARM_SPEEDUP,
   "serial_experiments_per_s": $SERIAL_EPS,
   "parallel_experiments_per_s": $PARALLEL_EPS,
   "nobatch_experiments_per_s": $NOBATCH_EPS,
@@ -424,21 +374,17 @@ cat > "$OUT_JSON" <<EOF
 }
 EOF
 
-# Pool-focused side artifact for CI upload: the warm-start story in
-# one small file, independent of the regression baseline.
+# Pool-focused side artifact for CI upload: the pool's numbers in one
+# small file, independent of the regression baseline.
 cat > machinepool-bench.json <<EOF
 {
-  "benchmark": "machine_pool_warm_start",
+  "benchmark": "machine_pool",
   "systems": "$ONLY",
   "experiments": $EXPERIMENTS,
   "host_cores": $HOST_CORES,
-  "snapshot_files": $SNAPSHOT_FILES,
   "nopool_wall_s": $NOPOOL_S,
   "nolanes_wall_s": $NOLANES_S,
-  "snapwrite_wall_s": $SNAPWRITE_S,
-  "snapshot_wall_s": $SNAPSHOT_S,
   "machine_pool_speedup": $POOL_SPEEDUP,
-  "warm_start_speedup": $WARM_SPEEDUP,
   "byte_identical": $IDENTICAL
 }
 EOF
@@ -451,7 +397,7 @@ if [[ "$MODE" == check ]]; then
     echo "== bench: regression gate vs $BASELINE_JSON (limit ${CHECK_LIMIT_PCT}%) =="
     FAILED=0
     for key in serial_wall_s parallel_wall_s nobatch_wall_s \
-               nolanes_wall_s nopool_wall_s snapshot_wall_s; do
+               nolanes_wall_s nopool_wall_s; do
         base="$(json_field "$BASELINE_JSON" "$key")"
         cur="$(json_field "$OUT_JSON" "$key")"
         if [[ -z "$base" || -z "$cur" ]]; then
@@ -506,20 +452,6 @@ if [[ "$MODE" == check ]]; then
     echo "   lane_speedup: ${cur:-missing}x (floor 1.3x)"
     awk -v c="${cur:-0}" 'BEGIN { exit !(c >= 1.3) }' || {
         echo "   FAIL: lane grouping speedup ${cur:-0}x below the 1.3x floor" >&2
-        FAILED=1
-    }
-    # Same same-invocation-ratio reasoning for the warm-start pool.
-    # Decoding is a small slice of this workload (simulation wall
-    # time scales with iterations, decode does not), so the floor
-    # does not assert a large win; it asserts the snapshot path is
-    # never materially SLOWER than cold machines, which is exactly
-    # how a slow-path regression (per-launch disk reads, a
-    # reject-and-rebuild loop, checksum work on the hot path) would
-    # present.
-    cur="$(json_field "$OUT_JSON" warm_start_speedup)"
-    echo "   warm_start_speedup: ${cur:-missing}x (floor 0.95x)"
-    awk -v c="${cur:-0}" 'BEGIN { exit !(c >= 0.95) }' || {
-        echo "   FAIL: warm-start speedup ${cur:-0}x below the 0.95x floor" >&2
         FAILED=1
     }
     if [[ "$FAILED" -ne 0 ]]; then

@@ -40,8 +40,8 @@ ping-pongs, lock contention, CAS conflicts) while the batcher was
 engaged, loop_batch_fallbacks must be nonzero -- contention perturbs
 the boundary fingerprints the batcher keys on.
 
-A fourth gate covers the lane planner's lane_* counters (multi-lane
-lockstep sweeps, docs/performance.md): groups partition points, so
+A fourth gate covers the lane planner's lane_* counters (lane-batched
+sweeps, docs/performance.md): groups partition points, so
 group, singleton, and peel counts must satisfy the arithmetic of a
 partition -- e.g. every non-singleton group holds at least two
 points, and the group count equals the point count exactly when

@@ -52,8 +52,6 @@ enum class Counter : int
     LoopBatchFallbacks,///< boundary checks that fell back to stepping
     PoolClones,        ///< launches that reused an installed decoded image
     PoolColdBuilds,    ///< decoded images built by a full decode
-    SnapshotLoads,     ///< decoded images installed from a disk snapshot
-    SnapshotRejects,   ///< snapshot files rejected by validation
     LaneGroups,        ///< lane groups the campaign planner formed
     LanePoints,        ///< sweep points routed through the lane planner
     LanePeels,         ///< lanes peeled to single-lane execution

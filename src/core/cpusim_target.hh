@@ -76,10 +76,10 @@ class CpuSimTarget
      * placement policy plus the decoded-image fingerprints of the
      * baseline/test program pair. Points with equal keys at every
      * swept team size perform bit-identical measurement walks (the
-     * campaign's lane-lockstep agreement test). As a side effect the
-     * pair's images are materialized on the leased machine, so the
-     * decode doubles as the warm-start path measure() replays.
-     * Requires the machine-pool path (mcfg.machine_pool).
+     * campaign's lane agreement test). As a side effect the pair's
+     * images are materialized on the leased machine, so the decode
+     * doubles as the warm-start path measure() replays. Requires the
+     * machine-pool path (mcfg.machine_pool).
      */
     std::uint64_t laneKey(const OmpExperiment &exp, int n_threads);
 

@@ -69,10 +69,10 @@ class GpuSimTarget
      * Lane-grouping key for @p exp: a digest of the decoded-image
      * fingerprints of the baseline/test kernel pair. Decoding is
      * launch-geometry independent, so equal keys mean bit-identical
-     * measurement walks at every swept geometry (the campaign's
-     * lane-lockstep agreement test). As a side effect the pair's
-     * images are materialized on the leased machine, so the decode
-     * doubles as the warm-start path measure() replays. Requires the
+     * measurement walks at every swept geometry (the campaign's lane
+     * agreement test). As a side effect the pair's images are
+     * materialized on the leased machine, so the decode doubles as
+     * the warm-start path measure() replays. Requires the
      * machine-pool path (mcfg.machine_pool).
      */
     std::uint64_t laneKey(const CudaExperiment &exp);

@@ -5,12 +5,9 @@
 
 #include "machine_pool.hh"
 
-#include <filesystem>
-
 #include "common/logging.hh"
 #include "common/metrics.hh"
 #include "core/manifest.hh"
-#include "sim/snapshot.hh"
 
 namespace syncperf::core
 {
@@ -25,6 +22,8 @@ MachinePool::global()
 void
 MachinePool::configure(Config cfg)
 {
+    SYNCPERF_ASSERT(cfg.snapshot_dir.empty(),
+                    "the machine pool keeps no on-disk images");
     std::lock_guard lock(mutex_);
     cfg_ = std::move(cfg);
 }
@@ -49,8 +48,6 @@ MachinePool::reset()
     std::lock_guard lock(mutex_);
     cpu_slots_.clear();
     gpu_slots_.clear();
-    cpu_claims_.clear();
-    gpu_claims_.clear();
 }
 
 void
@@ -165,74 +162,13 @@ MachinePool::releaseGpu(std::uint64_t key,
         slot.idle.push_back(std::move(machine));
 }
 
-namespace
-{
-
-/**
- * Try the on-disk snapshot for @p key, install into the machine via
- * @p install, and account loads/rejects. Returns true on success.
- */
-template <typename InstallFn>
-bool
-loadSnapshot(const std::filesystem::path &path, sim::SnapshotKind kind,
-             std::uint64_t key, InstallFn &&install)
-{
-    auto words = sim::readSnapshotFile(path, kind, key);
-    if (words.isOk()) {
-        if (install(words.value()).isOk()) {
-            metrics::add(metrics::Counter::SnapshotLoads);
-            return true;
-        }
-        metrics::add(metrics::Counter::SnapshotRejects);
-        return false;
-    }
-    // A missing file is the normal first-writer case; anything else
-    // (bad magic, version skew, checksum mismatch, truncation) is a
-    // rejected image.
-    if (words.status().code() != ErrorCode::IoError)
-        metrics::add(metrics::Counter::SnapshotRejects);
-    return false;
-}
-
-} // namespace
-
 void
 MachinePool::materializeCpu(
     cpusim::CpuMachine &machine, std::uint64_t key,
     const std::vector<cpusim::CpuProgram> &programs)
 {
-    std::string dir;
-    bool claimant = false;
-    {
-        std::lock_guard lock(mutex_);
-        dir = cfg_.snapshot_dir;
-        // Only the first in-process toucher of a key does disk I/O,
-        // so snapshot_loads counts unique keys with a valid
-        // preexisting file -- a config-determined total.
-        if (!dir.empty())
-            claimant = cpu_claims_.insert(key).second;
-    }
-    std::filesystem::path path;
-    if (claimant) {
-        path = std::filesystem::path(dir) /
-               sim::snapshotFileName(sim::SnapshotKind::CpuImage, key);
-        if (loadSnapshot(path, sim::SnapshotKind::CpuImage, key,
-                         [&](const std::vector<std::uint64_t> &words) {
-                             return machine.installImage(key, words);
-                         })) {
-            return;
-        }
-    }
     machine.buildImage(key, programs);
     metrics::add(metrics::Counter::PoolColdBuilds);
-    if (claimant) {
-        std::vector<std::uint64_t> words;
-        machine.encodeImage(key, words);
-        const Status st = sim::writeSnapshotFile(
-            path, sim::SnapshotKind::CpuImage, key, words);
-        if (!st.isOk())
-            warn("snapshot write failed: {}", st.message());
-    }
 }
 
 void
@@ -240,35 +176,8 @@ MachinePool::materializeGpu(gpusim::GpuMachine &machine,
                             std::uint64_t key,
                             const gpusim::GpuKernel &kernel)
 {
-    std::string dir;
-    bool claimant = false;
-    {
-        std::lock_guard lock(mutex_);
-        dir = cfg_.snapshot_dir;
-        if (!dir.empty())
-            claimant = gpu_claims_.insert(key).second;
-    }
-    std::filesystem::path path;
-    if (claimant) {
-        path = std::filesystem::path(dir) /
-               sim::snapshotFileName(sim::SnapshotKind::GpuImage, key);
-        if (loadSnapshot(path, sim::SnapshotKind::GpuImage, key,
-                         [&](const std::vector<std::uint64_t> &words) {
-                             return machine.installImage(key, words);
-                         })) {
-            return;
-        }
-    }
     machine.buildImage(key, kernel);
     metrics::add(metrics::Counter::PoolColdBuilds);
-    if (claimant) {
-        std::vector<std::uint64_t> words;
-        machine.encodeImage(key, words);
-        const Status st = sim::writeSnapshotFile(
-            path, sim::SnapshotKind::GpuImage, key, words);
-        if (!st.isOk())
-            warn("snapshot write failed: {}", st.message());
-    }
 }
 
 std::uint64_t

@@ -15,16 +15,9 @@
  * running on it, never on lease scheduling; that is what keeps the
  * pool_clones / pool_cold_builds counters --jobs-invariant.
  *
- * materializeCpu()/materializeGpu() install the decoded image for a
- * key into a leased machine, preferring the on-disk snapshot
- * (sim/snapshot.hh) under the configured snapshot directory. An
- * in-process claim set serializes disk access per key: only the
- * first materialization of a key in this process reads the file
- * (snapshot_loads therefore counts unique keys with valid
- * preexisting images, a config-determined total), and the same
- * claimant writes the image back after a cold build so later
- * processes skip the decode. Invalid or torn files are rejected
- * cleanly (snapshot_rejects) and fall back to a full decode.
+ * materializeCpu()/materializeGpu() decode the program set or
+ * kernel for a key into a leased machine's image map and count the
+ * decode in pool_cold_builds.
  */
 
 #ifndef SYNCPERF_CORE_MACHINE_POOL_HH
@@ -35,7 +28,6 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -53,22 +45,27 @@ class MachinePool
         /** Lease/reuse machines at all (--no-machine-pool clears). */
         bool enabled = true;
 
-        /** Directory for on-disk decoded-image snapshots; empty (the
-         * default) disables all snapshot I/O. */
+        /**
+         * Unused, and must stay empty: configure() panics on any
+         * other value. The field remains only because the benchmark
+         * driver (perfbench/driver.cc) builds this struct as
+         * Config{enabled, ""}; drop it together with that call.
+         */
         std::string snapshot_dir;
     };
 
     /** The process-wide pool. */
     static MachinePool &global();
 
-    /** Replace the pool configuration (campaign CLI). */
+    /** Replace the pool configuration (campaign CLI). Panics when
+     * cfg.snapshot_dir is non-empty. */
     void configure(Config cfg);
 
     Config config() const;
     bool enabled() const;
 
     /**
-     * Drop every idle machine, template, and snapshot claim. Called
+     * Drop every idle machine and template. Called
      * at campaign start so back-to-back campaigns in one process
      * (tests) observe the same cold pool a fresh process would.
      */
@@ -151,12 +148,7 @@ class MachinePool
     GpuLease acquireGpu(const gpusim::GpuConfig &cfg,
                         bool use_pool = true);
 
-    /**
-     * Ensure @p machine has the decoded image for @p key, loading it
-     * from the snapshot directory when this process's first touch of
-     * the key finds a valid file, and decoding @p programs otherwise
-     * (writing the result back for other processes when claimed).
-     */
+    /** Decode @p programs into @p machine's image for @p key. */
     void materializeCpu(cpusim::CpuMachine &machine, std::uint64_t key,
                         const std::vector<cpusim::CpuProgram> &programs);
 
@@ -192,8 +184,6 @@ class MachinePool
     Config cfg_;
     std::unordered_map<std::uint64_t, CpuSlot> cpu_slots_;
     std::unordered_map<std::uint64_t, GpuSlot> gpu_slots_;
-    std::unordered_set<std::uint64_t> cpu_claims_;
-    std::unordered_set<std::uint64_t> gpu_claims_;
 };
 
 } // namespace syncperf::core

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <limits>
+#include <string>
 
 #include "bench_common.hh"
 
@@ -103,6 +105,60 @@ TEST(BenchSweeps, QuickCudaSweepKeepsEndpoints)
 TEST(BenchHelpers, ToXsConverts)
 {
     EXPECT_EQ(toXs({1, 2, 3}), (std::vector<double>{1.0, 2.0, 3.0}));
+}
+
+TEST(NumericFlag, AcceptsWholeTokensInRange)
+{
+    EXPECT_EQ(numericFlag("campaign", "--jobs", "4", "a count >= 1", 1),
+              4);
+    EXPECT_EQ(numericFlag("campaign", "--shard-max-retries", "0",
+                          "a count >= 0", 0),
+              0);
+    EXPECT_EQ(numericFlag("campaign", "--x", "7", "1..7", 1, 7), 7);
+    EXPECT_DOUBLE_EQ(numericFlag("campaign", "--cov-gate", "0.05",
+                                 "a cov >= 0", 0.0),
+                     0.05);
+    EXPECT_DOUBLE_EQ(numericFlag("campaign", "--shard-timeout", "1e-3",
+                                 "seconds > 0", 1e-9),
+                     1e-3);
+}
+
+/** numericFlag(..., text, ...) must exit 2 naming the flag and text. */
+template <typename T>
+void
+expectRejected(const char *text, T lo,
+               T hi = std::numeric_limits<T>::max())
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(numericFlag("campaign", "--flag", text, "a value", lo,
+                            hi),
+                ::testing::ExitedWithCode(2),
+                std::string("--flag wants a value, got '") + text + "'")
+        << "accepted '" << text << "'";
+}
+
+TEST(NumericFlag, RejectsPartialOrNonNumericTokens)
+{
+    expectRejected<int>("abc", 0);
+    expectRejected<int>("4x", 1);
+    expectRejected<int>("", 0);
+    expectRejected<int>(" 4", 1);
+    expectRejected<int>("2.5", 0);
+    expectRejected<double>("abc", 0.0);
+    expectRejected<double>("1.5s", 0.0);
+    expectRejected<double>("nan", 0.0);
+    expectRejected<double>("inf", 0.0);
+}
+
+TEST(NumericFlag, RejectsOutOfRangeValues)
+{
+    expectRejected<int>("0", 1);
+    expectRejected<int>("-1", 0);
+    expectRejected<int>("8", 1, 7);
+    expectRejected<int>("99999999999", 0);
+    expectRejected<double>("0", 1e-9);
+    expectRejected<double>("-0.5", 0.0);
+    expectRejected<double>("1e999", 0.0);
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the warm-start machine pool: lease reuse, per-lease
- * image hygiene, snapshot materialization, and the determinism
+ * image hygiene, image materialization, and the determinism
  * counters behind them.
  *
  * The pool under test is the process-wide singleton (exactly what
@@ -13,24 +13,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
-#include <string>
 #include <thread>
 #include <vector>
 
-#include <unistd.h>
-
+#include "common/logging.hh"
 #include "common/metrics.hh"
 #include "core/machine_pool.hh"
-#include "sim/snapshot.hh"
 
 namespace syncperf::core
 {
 namespace
 {
-
-namespace fs = std::filesystem;
 
 cpusim::CpuConfig
 testCpu()
@@ -69,25 +62,12 @@ testPrograms()
     return programs;
 }
 
-gpusim::GpuKernel
-testKernel()
-{
-    gpusim::GpuKernel k;
-    k.body = {gpusim::GpuOp::syncThreads()};
-    k.body_iters = 20;
-    return k;
-}
-
 class MachinePoolTest : public ::testing::Test
 {
   protected:
     void
     SetUp() override
     {
-        dir_ = fs::temp_directory_path() /
-               ("syncperf_pool_test_" + std::to_string(::getpid()));
-        fs::remove_all(dir_);
-        fs::create_directories(dir_);
         MachinePool::global().configure({true, ""});
         MachinePool::global().reset();
         metrics::Registry::global().reset();
@@ -99,15 +79,6 @@ class MachinePoolTest : public ::testing::Test
         MachinePool::global().configure({true, ""});
         MachinePool::global().reset();
         metrics::Registry::global().reset();
-        fs::remove_all(dir_);
-    }
-
-    /** Configure the pool to snapshot under the test directory. */
-    void
-    useSnapshots()
-    {
-        MachinePool::global().configure({true, dir_.string()});
-        MachinePool::global().reset();
     }
 
     static long long
@@ -115,8 +86,6 @@ class MachinePoolTest : public ::testing::Test
     {
         return metrics::value(c);
     }
-
-    fs::path dir_;
 };
 
 TEST_F(MachinePoolTest, ReleasedMachineIsLeasedAgain)
@@ -187,117 +156,16 @@ TEST_F(MachinePoolTest, MaterializeWithoutSnapshotDirIsAColdBuild)
     pool.materializeCpu(*lease, 11, testPrograms());
     EXPECT_TRUE(lease->hasImage(11));
     EXPECT_EQ(counter(metrics::Counter::PoolColdBuilds), 1);
-    EXPECT_EQ(counter(metrics::Counter::SnapshotLoads), 0);
-    EXPECT_EQ(counter(metrics::Counter::SnapshotRejects), 0);
-    EXPECT_TRUE(fs::is_empty(dir_));
 }
 
-TEST_F(MachinePoolTest, MaterializeWritesThenLoadsSnapshots)
+TEST_F(MachinePoolTest, ConfigureRejectsASnapshotDir)
 {
-    useSnapshots();
-    auto &pool = MachinePool::global();
-    const std::uint64_t key = 21;
-    const fs::path file =
-        dir_ / sim::snapshotFileName(sim::SnapshotKind::CpuImage, key);
-    std::vector<std::uint64_t> baseline;
-    {
-        auto lease = pool.acquireCpu(testCpu(), Affinity::System);
-        pool.materializeCpu(*lease, key, testPrograms());
-        baseline = lease->run(testPrograms(), 2, key).thread_cycles;
-    }
-    EXPECT_EQ(counter(metrics::Counter::PoolColdBuilds), 1);
-    EXPECT_EQ(counter(metrics::Counter::SnapshotLoads), 0);
-    ASSERT_TRUE(fs::exists(file));
-
-    // A "new process": pool claims dropped, counters cleared, the
-    // snapshot directory retained.
-    MachinePool::global().reset();
-    metrics::Registry::global().reset();
-    auto lease = pool.acquireCpu(testCpu(), Affinity::System);
-    pool.materializeCpu(*lease, key, testPrograms());
-    EXPECT_TRUE(lease->hasImage(key));
-    EXPECT_EQ(counter(metrics::Counter::SnapshotLoads), 1);
-    EXPECT_EQ(counter(metrics::Counter::PoolColdBuilds), 0);
-    EXPECT_EQ(counter(metrics::Counter::SnapshotRejects), 0);
-    EXPECT_EQ(lease->run(testPrograms(), 2, key).thread_cycles,
-              baseline);
-}
-
-TEST_F(MachinePoolTest, CorruptSnapshotIsRejectedAndRepaired)
-{
-    useSnapshots();
-    auto &pool = MachinePool::global();
-    const std::uint64_t key = 31;
-    const fs::path file =
-        dir_ / sim::snapshotFileName(sim::SnapshotKind::CpuImage, key);
-    {
-        auto lease = pool.acquireCpu(testCpu(), Affinity::System);
-        pool.materializeCpu(*lease, key, testPrograms());
-    }
-    ASSERT_TRUE(fs::exists(file));
-    // Flip one payload byte.
-    std::string bytes;
-    {
-        std::ifstream in(file, std::ios::binary);
-        bytes.assign((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    }
-    bytes.back() = static_cast<char>(
-        static_cast<unsigned char>(bytes.back()) ^ 0x01);
-    {
-        std::ofstream out(file, std::ios::binary | std::ios::trunc);
-        out.write(bytes.data(),
-                  static_cast<std::streamsize>(bytes.size()));
-    }
-
-    MachinePool::global().reset();
-    metrics::Registry::global().reset();
-    {
-        auto lease = pool.acquireCpu(testCpu(), Affinity::System);
-        pool.materializeCpu(*lease, key, testPrograms());
-        EXPECT_TRUE(lease->hasImage(key));
-    }
-    EXPECT_EQ(counter(metrics::Counter::SnapshotRejects), 1);
-    EXPECT_EQ(counter(metrics::Counter::PoolColdBuilds), 1);
-    EXPECT_EQ(counter(metrics::Counter::SnapshotLoads), 0);
-
-    // The claimant rewrote the file after the cold build, so the
-    // next process loads it cleanly.
-    MachinePool::global().reset();
-    metrics::Registry::global().reset();
-    {
-        auto lease = pool.acquireCpu(testCpu(), Affinity::System);
-        pool.materializeCpu(*lease, key, testPrograms());
-    }
-    EXPECT_EQ(counter(metrics::Counter::SnapshotLoads), 1);
-    EXPECT_EQ(counter(metrics::Counter::SnapshotRejects), 0);
-}
-
-TEST_F(MachinePoolTest, GpuMaterializeWritesThenLoadsSnapshots)
-{
-    useSnapshots();
-    auto &pool = MachinePool::global();
-    const std::uint64_t key = 41;
-    const fs::path file =
-        dir_ / sim::snapshotFileName(sim::SnapshotKind::GpuImage, key);
-    std::vector<std::uint64_t> baseline;
-    {
-        auto lease = pool.acquireGpu(testGpu());
-        pool.materializeGpu(*lease, key, testKernel());
-        baseline =
-            lease->run(testKernel(), {2, 64}, 2, key).thread_cycles;
-    }
-    EXPECT_EQ(counter(metrics::Counter::PoolColdBuilds), 1);
-    ASSERT_TRUE(fs::exists(file));
-
-    MachinePool::global().reset();
-    metrics::Registry::global().reset();
-    auto lease = pool.acquireGpu(testGpu());
-    pool.materializeGpu(*lease, key, testKernel());
-    EXPECT_EQ(counter(metrics::Counter::SnapshotLoads), 1);
-    EXPECT_EQ(counter(metrics::Counter::PoolColdBuilds), 0);
-    EXPECT_EQ(lease->run(testKernel(), {2, 64}, 2, key).thread_cycles,
-              baseline);
+    // The pool keeps no on-disk images: a caller naming a directory
+    // must fail loudly rather than silently run without one.
+    ScopedLogCapture capture;
+    EXPECT_THROW(MachinePool::global().configure({true, "images"}),
+                 LogDeathException);
+    EXPECT_TRUE(MachinePool::global().config().snapshot_dir.empty());
 }
 
 TEST_F(MachinePoolTest, ConfigHashesAreFieldSensitive)
@@ -332,7 +200,6 @@ TEST_F(MachinePoolTest, DisabledPoolStillLeasesWorkingMachines)
 
 TEST_F(MachinePoolTest, ConcurrentLeaseAndMaterializeIsSafe)
 {
-    useSnapshots();
     auto &pool = MachinePool::global();
     const auto programs = testPrograms();
     constexpr int n_threads = 4;
@@ -344,8 +211,8 @@ TEST_F(MachinePoolTest, ConcurrentLeaseAndMaterializeIsSafe)
         workers.emplace_back([&, t] {
             for (int i = 0; i < n_iters; ++i) {
                 // Same shared key (51) every iteration, plus a
-                // per-thread key, so the claim set sees both
-                // contended and uncontended paths.
+                // per-thread key, so the pool sees both contended
+                // and uncontended materializations.
                 auto lease =
                     pool.acquireCpu(testCpu(), Affinity::System);
                 pool.materializeCpu(*lease, 51, programs);

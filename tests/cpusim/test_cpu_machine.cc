@@ -419,57 +419,6 @@ TEST(CpuMachineImage, BuiltImageRunMatchesColdRun)
     EXPECT_EQ(warm.run(programs, 2, 42).thread_cycles, want);
 }
 
-TEST(CpuMachineImage, EncodeInstallRoundTripMatchesColdRun)
-{
-    const auto programs = imageTestPrograms();
-    CpuMachine writer(testConfig(), Affinity::System, 9);
-    writer.buildImage(7, programs);
-    std::vector<std::uint64_t> words;
-    writer.encodeImage(7, words);
-    ASSERT_FALSE(words.empty());
-
-    CpuMachine reader(testConfig(), Affinity::System, 9);
-    ASSERT_TRUE(reader.installImage(7, words).isOk());
-    ASSERT_TRUE(reader.hasImage(7));
-
-    CpuMachine cold(testConfig(), Affinity::System, 9);
-    EXPECT_EQ(reader.run(programs, 2, 7).thread_cycles,
-              cold.run(programs, 2).thread_cycles);
-}
-
-TEST(CpuMachineImage, InstallRejectsMalformedPayloads)
-{
-    const auto programs = imageTestPrograms();
-    CpuMachine writer(testConfig(), Affinity::System);
-    writer.buildImage(7, programs);
-    std::vector<std::uint64_t> good;
-    writer.encodeImage(7, good);
-
-    CpuMachine reader(testConfig(), Affinity::System);
-    // Truncations at every word boundary.
-    for (std::size_t len = 0; len < good.size(); ++len) {
-        std::vector<std::uint64_t> bad(good.begin(),
-                                       good.begin() +
-                                           static_cast<long>(len));
-        EXPECT_FALSE(reader.installImage(8, bad).isOk())
-            << "truncation to " << len << " words was accepted";
-        EXPECT_FALSE(reader.hasImage(8));
-    }
-    // A wild handler id (payload layout: n_threads, n_lines,
-    // n_locks, n_ops, then the first op's handler id at word 4).
-    std::vector<std::uint64_t> bad = good;
-    bad[4] = 0xffff;
-    EXPECT_FALSE(reader.installImage(8, bad).isOk());
-    // An absurd count.
-    bad = good;
-    bad[0] = std::uint64_t{1} << 40; // n_threads
-    EXPECT_FALSE(reader.installImage(8, bad).isOk());
-    EXPECT_FALSE(reader.hasImage(8));
-    // The pristine payload still installs after all the rejects.
-    EXPECT_TRUE(reader.installImage(8, good).isOk());
-    EXPECT_TRUE(reader.hasImage(8));
-}
-
 TEST(CpuMachineImage, ClearImagesDropsEverything)
 {
     const auto programs = imageTestPrograms();

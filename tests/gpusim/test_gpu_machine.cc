@@ -369,58 +369,6 @@ TEST(GpuMachineImage, BuiltImageRunMatchesColdRun)
               cold2.run(k, {2, 64}, 2).thread_cycles.size());
 }
 
-TEST(GpuMachineImage, EncodeInstallRoundTripMatchesColdRun)
-{
-    const GpuKernel k = imageTestKernel();
-    GpuMachine writer(testGpu(), 9);
-    writer.buildImage(7, k);
-    std::vector<std::uint64_t> words;
-    writer.encodeImage(7, words);
-    ASSERT_FALSE(words.empty());
-
-    GpuMachine reader(testGpu(), 9);
-    ASSERT_TRUE(reader.installImage(7, words).isOk());
-    ASSERT_TRUE(reader.hasImage(7));
-
-    GpuMachine cold(testGpu(), 9);
-    EXPECT_EQ(reader.run(k, {4, 128}, 2, 7).thread_cycles,
-              cold.run(k, {4, 128}, 2).thread_cycles);
-}
-
-TEST(GpuMachineImage, InstallRejectsMalformedPayloads)
-{
-    GpuMachine writer(testGpu());
-    writer.buildImage(7, imageTestKernel());
-    std::vector<std::uint64_t> good;
-    writer.encodeImage(7, good);
-
-    GpuMachine reader(testGpu());
-    // Truncations at every word boundary.
-    for (std::size_t len = 0; len < good.size(); ++len) {
-        std::vector<std::uint64_t> bad(good.begin(),
-                                       good.begin() +
-                                           static_cast<long>(len));
-        EXPECT_FALSE(reader.installImage(8, bad).isOk())
-            << "truncation to " << len << " words was accepted";
-        EXPECT_FALSE(reader.hasImage(8));
-    }
-    // A wild handler id (the empty prologue contributes one count
-    // word, so the first body op's handler id is word 2).
-    std::vector<std::uint64_t> bad = good;
-    bad[2] = 0xffff;
-    EXPECT_FALSE(reader.installImage(8, bad).isOk());
-    // A zero repeat count.
-    bad = good;
-    bad[3] = 0;
-    EXPECT_FALSE(reader.installImage(8, bad).isOk());
-    // Key 0 is the "decode normally" sentinel and never installable.
-    EXPECT_FALSE(reader.installImage(0, good).isOk());
-    EXPECT_FALSE(reader.hasImage(8));
-    // The pristine payload still installs after all the rejects.
-    EXPECT_TRUE(reader.installImage(8, good).isOk());
-    EXPECT_TRUE(reader.hasImage(8));
-}
-
 TEST(GpuMachineImage, CloneFromDoesNotChangeResults)
 {
     const GpuKernel k = imageTestKernel();

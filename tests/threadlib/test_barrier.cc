@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <memory>
+#include <ostream>
 
 #include "threadlib/barrier.hh"
 #include "threadlib/parallel_region.hh"
@@ -58,6 +59,17 @@ struct BarrierCase
     const char *name;
     Factory factory;
 };
+
+/**
+ * Print a case by name: gtest appends the printed parameter to each
+ * test's listed name, and the default byte dump would embed the
+ * factory's address, which changes from run to run.
+ */
+void
+PrintTo(const BarrierCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 class BarrierTest : public ::testing::TestWithParam<BarrierCase>
 {

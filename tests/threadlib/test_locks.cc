@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <memory>
+#include <ostream>
 #include <vector>
 
 #include "threadlib/locks.hh"
@@ -31,6 +32,17 @@ struct LockCase
     const char *name;
     Factory factory;
 };
+
+/**
+ * Print a case by name: gtest appends the printed parameter to each
+ * test's listed name, and the default byte dump would embed the
+ * factory's address, which changes from run to run.
+ */
+void
+PrintTo(const LockCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 class LockTest : public ::testing::TestWithParam<LockCase>
 {
