@@ -6,9 +6,9 @@
 #include "shard.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <csignal>
-#include <cstdlib>
 #include <fstream>
 #include <thread>
 #include <unordered_set>
@@ -41,28 +41,27 @@ ShardSpec::toString() const
 Result<ShardSpec>
 parseShardSpec(std::string_view text)
 {
+    // Whole tokens only: std::from_chars takes no whitespace or '+'
+    // and reports a value outside int instead of wrapping it.
+    const auto whole = [](std::string_view tok, int &out) {
+        const char *end = tok.data() + tok.size();
+        const auto [ptr, ec] = std::from_chars(tok.data(), end, out);
+        return ec == std::errc{} && ptr == end;
+    };
     const std::string copy(text);
-    char *end = nullptr;
-    const long index = std::strtol(copy.c_str(), &end, 10);
-    if (end == copy.c_str() || *end != '/') {
+    const std::size_t slash = text.find('/');
+    ShardSpec spec;
+    if (slash == std::string_view::npos ||
+        !whole(text.substr(0, slash), spec.index) ||
+        !whole(text.substr(slash + 1), spec.count)) {
         return Status::error(ErrorCode::InvalidArgument,
                              "shard spec '{}' is not of the form k/N",
                              copy);
     }
-    const char *count_text = end + 1;
-    const long count = std::strtol(count_text, &end, 10);
-    if (end == count_text || *end != '\0') {
-        return Status::error(ErrorCode::InvalidArgument,
-                             "shard spec '{}' is not of the form k/N",
-                             copy);
-    }
-    if (count < 1 || index < 0 || index >= count) {
+    if (spec.count < 1 || spec.index < 0 || spec.index >= spec.count) {
         return Status::error(ErrorCode::InvalidArgument,
                              "shard spec '{}' needs 0 <= k < N", copy);
     }
-    ShardSpec spec;
-    spec.index = static_cast<int>(index);
-    spec.count = static_cast<int>(count);
     return spec;
 }
 

@@ -69,7 +69,7 @@ struct CpuRunResult
  * independent launches (reseed() between launches restores the
  * fresh-machine jitter stream while keeping warm buffers).
  */
-class CpuMachine
+class CpuMachine : private sim::LoopBatcher::Host
 {
   public:
     /**
@@ -189,10 +189,13 @@ class CpuMachine
      * skips re-deriving state the detector has proven periodic
      * (docs/performance.md, "Loop batching").
      */
-    void setLoopBatch(bool on) { loop_batch_ = on; }
+    void setLoopBatch(bool on) { lb_.setEnabled(on); }
 
     /** Loop-batching activity of the most recent run. */
-    const sim::LoopBatchCounters &loopBatch() const { return lb_; }
+    const sim::LoopBatchCounters &loopBatch() const
+    {
+        return lb_.counters();
+    }
 
     /**
      * Pin the loop-batching horizon at @p when for every subsequent
@@ -201,7 +204,7 @@ class CpuMachine
      * sim::EventQueue::no_tick, the default, unpins). Results stay
      * bit-identical -- the pin only shrinks what may be batched.
      */
-    void setBatchHorizonPin(Tick when) { lb_pin_ = when; }
+    void setBatchHorizonPin(Tick when) { lb_.setHorizonPin(when); }
 
     /** The machine's event queue (test hook for horizon pinning). */
     sim::EventQueue &eventQueue() { return eq_; }
@@ -298,29 +301,15 @@ class CpuMachine
     Tick acquireExclusive(Line &line, const HwPlace &place, Tick start,
                           Tick alu_cost, bool ordering_point);
 
-    // --- Steady-state loop batching (docs/performance.md) ---
+    // --- Steady-state loop batching (sim::LoopBatcher::Host) ---
+    // The batcher decides when and how far to jump; the machine
+    // supplies its state encoding (max-registers below the liveness
+    // floor canonicalize to one dead value) and the register shift.
 
-    /**
-     * Encode the complete dynamic machine state relative to the
-     * trigger-boundary tick @p base: live timing registers as exact
-     * offsets, provably dead ones canonicalized, the pending event
-     * set in execution order, and the rng state verbatim. Equal
-     * encodings at two boundaries prove the machine's dynamics are
-     * periodic with the boundaries' tick distance as the period.
-     */
-    void encodeState(Tick base, std::vector<std::uint64_t> &out) const;
-
-    /**
-     * Called at every timed body-iteration boundary of thread
-     * @p tid, before its iteration counter is decremented. When the
-     * boundary fingerprint matches the previous one, jump K whole
-     * periods algebraically and return the tick shift (0 when the
-     * check fell back to single-stepping).
-     */
-    Tick maybeBatch(int tid, Tick done);
-
-    /** Add @p delta to every live absolute-time register. */
-    void shiftTimes(Tick delta);
+    void encodeState(Tick base,
+                     std::vector<std::uint64_t> &out) const override;
+    void shiftTimes(Tick delta) override;
+    long &itersLeft(int tid) override { return threads_[tid].iters_left; }
 
     CpuConfig cfg_;
     Affinity affinity_;
@@ -356,23 +345,8 @@ class CpuMachine
     Tick align_last_ = 0;
     std::vector<int> align_waiters_;
 
-    // Steady-state loop batching. The first thread to complete a
-    // timed body iteration becomes the trigger; its boundaries drive
-    // the periodicity check.
-    bool loop_batch_ = true;
-    /** Sticky horizon pin re-applied to the queue by every run(). */
-    Tick lb_pin_ = sim::EventQueue::no_tick;
-    int lb_trigger_ = -1;
-    bool lb_armed_ = false;        ///< lb_prev_* describe a boundary
-    long lb_skip_ = 0;             ///< boundaries left before retrying
-    long lb_penalty_ = 1;          ///< next backoff length (doubles)
-    Tick lb_prev_boundary_ = 0;
-    std::uint64_t lb_prev_rng_ = 0;
-    std::vector<std::uint64_t> lb_prev_fp_;
-    std::vector<std::uint64_t> lb_fp_;  ///< scratch for the current fp
-    std::vector<long> lb_prev_iters_;
-    sim::StatSnapshot lb_prev_stats_;
-    sim::LoopBatchCounters lb_;
+    /** Steady-state loop batching; threads are its actors. */
+    sim::LoopBatcher lb_{*this, eq_, stats_, rng_};
 };
 
 } // namespace syncperf::cpusim

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <iterator>
-#include <limits>
 
 #include "common/logging.hh"
 
@@ -702,174 +701,6 @@ GpuMachine::shiftTimes(Tick delta)
     // the unbatched run; the rng did not advance.
 }
 
-/** FNV-1a over the fingerprint words: cheap reject so a boundary is
- * compared word-for-word against at most the anchors whose hash
- * collides (in practice, the one that matches). */
-static std::uint64_t
-fpHash(const std::vector<std::uint64_t> &fp)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (std::uint64_t w : fp) {
-        h ^= w;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
-GpuMachine::LbAnchor &
-GpuMachine::pushAnchor(Tick done)
-{
-    lb_ring_head_ =
-        (lb_ring_head_ + 1) % static_cast<int>(lb_ring_.size());
-    lb_ring_n_ = std::min<int>(lb_ring_n_ + 1,
-                               static_cast<int>(lb_ring_.size()));
-    LbAnchor &a = lb_ring_[static_cast<std::size_t>(lb_ring_head_)];
-    a.fp.swap(lb_fp_); // recycle the evicted anchor's buffer
-    a.hash = fpHash(a.fp);
-    a.boundary = done;
-    a.rng = rng_.state();
-    const int n = static_cast<int>(warps_.size());
-    a.iters.resize(n);
-    for (int i = 0; i < n; ++i)
-        a.iters[i] = warps_[i].iters_left;
-    stats_.snapshot(a.stats);
-    return a;
-}
-
-Tick
-GpuMachine::maybeBatch(int warp_id, Tick done)
-{
-    // A warp this close to its loop exit can never complete the
-    // anchor-then-match sequence with k >= 1 (margin 2), so encoding
-    // at its boundaries is pure overhead: its tail single-steps, and
-    // the trigger role stays -- or becomes -- vacant for a warp with
-    // room to batch (e.g. the next wave of a multi-wave launch).
-    if (warps_[warp_id].iters_left < 4) {
-        if (warp_id == lb_trigger_) {
-            lb_trigger_ = -1;
-            lb_ring_n_ = 0;
-        }
-        return 0;
-    }
-    if (lb_trigger_ < 0)
-        lb_trigger_ = warp_id;
-    if (warp_id != lb_trigger_)
-        return 0;
-
-    // Backoff: a boundary whose last attempt fell back rarely
-    // matches the very next one, and every attempt costs a whole-
-    // machine encode. Exponentially spaced retries keep hopeless
-    // (contended) regimes near single-step speed; a skipped boundary
-    // only forgoes a jump, so results are unchanged.
-    if (lb_skip_ > 0) {
-        --lb_skip_;
-        return 0;
-    }
-
-    // Randomness consumed since the newest anchor (a system-scope
-    // fence in the body) makes every stored anchor unmatchable: the
-    // rng word is part of the fingerprint and the stream only ever
-    // advances. Drop them and back off without paying for an encode.
-    if (lb_ring_n_ > 0 &&
-        rng_.state() !=
-            lb_ring_[static_cast<std::size_t>(lb_ring_head_)].rng) {
-        ++lb_.fallbacks;
-        lb_ring_n_ = 0;
-        lb_skip_ = lb_penalty_;
-        lb_penalty_ = std::min<long>(lb_penalty_ * 2, 256);
-        return 0;
-    }
-
-    encodeState(done, lb_fp_);
-    const std::uint64_t hash = fpHash(lb_fp_);
-    const int n = static_cast<int>(warps_.size());
-
-    // Newest-first: contended regimes rotate through their P
-    // contenders before the machine state recurs, so the cycle often
-    // closes against an anchor several boundaries back -- a match at
-    // any distance proves a period just as rigorously as an adjacent
-    // one, because the tick and iteration deltas below are measured
-    // from the matched anchor itself.
-    const LbAnchor *match = nullptr;
-    for (int back = 0; back < lb_ring_n_; ++back) {
-        const int slot =
-            (lb_ring_head_ - back +
-             static_cast<int>(lb_ring_.size()) * 2) %
-            static_cast<int>(lb_ring_.size());
-        const LbAnchor &cand =
-            lb_ring_[static_cast<std::size_t>(slot)];
-        if (cand.hash == hash && cand.fp == lb_fp_) {
-            match = &cand;
-            break;
-        }
-    }
-    if (match == nullptr) {
-        if (lb_ring_n_ > 0) {
-            ++lb_.fallbacks;
-            lb_skip_ = lb_penalty_;
-            lb_penalty_ = std::min<long>(lb_penalty_ * 2, 256);
-        }
-        pushAnchor(done);
-        return 0;
-    }
-
-    // Equal fingerprints: the machine's dynamics are periodic with
-    // period delta. Every actor must keep at least one whole
-    // post-jump iteration to execute for real: iters_left still
-    // counts the just-finished iteration, so a margin of 2 leaves
-    // phase transitions -- and the run's final event times -- to
-    // ordinary single-stepping.
-    const Tick delta = done - match->boundary;
-    SYNCPERF_ASSERT(delta > 0, "duplicate trigger boundary tick");
-    long k = std::numeric_limits<long>::max();
-    std::uint64_t per_period = 0;
-    for (int i = 0; i < n; ++i) {
-        const long d = match->iters[i] - warps_[i].iters_left;
-        if (d <= 0)
-            continue;
-        per_period += static_cast<std::uint64_t>(d);
-        k = std::min(k, (warps_[i].iters_left - 2) / d);
-    }
-    if (k == std::numeric_limits<long>::max())
-        k = 0;
-    // A horizon pin is an opaque foreign event: never jump past it.
-    if (eq_.horizonPin() != sim::EventQueue::no_tick) {
-        const Tick pin = eq_.horizonPin();
-        k = pin > done
-            ? std::min(k, static_cast<long>((pin - done) / delta))
-            : 0;
-    }
-    if (k < 1) {
-        ++lb_.fallbacks;
-        lb_skip_ = lb_penalty_;
-        lb_penalty_ = std::min<long>(lb_penalty_ * 2, 256);
-        // Anchor afresh so a later boundary measures a short period.
-        pushAnchor(done);
-        return 0;
-    }
-
-    const Tick shift = delta * static_cast<Tick>(k);
-    eq_.shiftPending(shift);
-    shiftTimes(shift);
-    for (int i = 0; i < n; ++i) {
-        const long d = match->iters[i] - warps_[i].iters_left;
-        warps_[i].iters_left -= static_cast<long>(k) * d;
-    }
-    stats_.applyPeriods(match->stats, static_cast<std::uint64_t>(k));
-    lb_.batched_iters += static_cast<std::uint64_t>(k) * per_period;
-    ++lb_.windows;
-    lb_penalty_ = 1; // a jump proves the steady state: retry eagerly
-
-    // The post-jump boundary has the matched fingerprint by
-    // construction (lb_fp_ still holds it); anchor it so the next
-    // boundary can batch again without re-proving periodicity from
-    // scratch. Older anchors stay valid -- they are other phases of
-    // the same cycle, described by their own historical tick and
-    // iteration counts.
-    pushAnchor(done + shift);
-    return shift;
-}
-
 void
 GpuMachine::step(int warp_id)
 {
@@ -907,20 +738,14 @@ GpuMachine::finishOp(int warp_id, Tick done)
     warp.pc = 0;
     // Timed boundary: the batcher may jump whole steady-state
     // periods here, shifting this warp's continuation with them.
-    if (warp.phase == Phase::Timed && loop_batch_)
-        done += maybeBatch(warp_id, done);
+    if (warp.phase == Phase::Timed)
+        done += lb_.boundary(warp_id, done);
     if ((warp.phase == Phase::Warmup || warp.phase == Phase::Timed) &&
         --warp.iters_left > 0) {
         eq_.schedule(done, [this, warp_id] { step(warp_id); }, warp_id);
         return;
     }
-    if (warp_id == lb_trigger_) {
-        // Let a remaining warp drive any tail batching. The backoff
-        // state deliberately survives the handoff: the machine's
-        // regime did not change with the trigger.
-        lb_trigger_ = -1;
-        lb_ring_n_ = 0;
-    }
+    lb_.actorLeft(warp_id);
     advancePhase(warp_id, done);
 }
 
@@ -1227,13 +1052,6 @@ GpuMachine::run(const GpuKernel &kernel, LaunchConfig launch,
     grid_first_arrival_ = 0;
     grid_last_arrival_ = 0;
     grid_waiters_.clear();
-    lb_trigger_ = -1;
-    lb_ring_n_ = 0;
-    lb_skip_ = 0;
-    lb_penalty_ = 1;
-    if (lb_pin_ != sim::EventQueue::no_tick)
-        eq_.pinHorizon(lb_pin_); // the queue reset cleared any pin
-    lb_ = sim::LoopBatchCounters{};
 
     const int warps_per_block = cfg_.warpsPerBlock(launch.threads_per_block);
     for (int b = 0; b < launch.blocks; ++b) {
@@ -1255,10 +1073,11 @@ GpuMachine::run(const GpuKernel &kernel, LaunchConfig launch,
         }
         pending_blocks_.push_back(b);
     }
-    if (!kernel.body.empty()) {
-        lb_.total_iters = static_cast<std::uint64_t>(kernel.body_iters) *
-                          warps_.size();
-    }
+    lb_.reset(static_cast<int>(warps_.size()),
+              kernel.body.empty()
+                  ? 0
+                  : static_cast<std::uint64_t>(kernel.body_iters) *
+                        warps_.size());
     tryLaunchBlocks(0);
 
     const Tick end = eq_.run();
@@ -1394,11 +1213,7 @@ GpuMachine::cloneFrom(const GpuMachine &tmpl)
     line_free_.reserve(tmpl.line_free_.size());
     sm_line_gate_.reserve(tmpl.sm_line_gate_.size());
     grid_waiters_.reserve(tmpl.grid_waiters_.capacity());
-    lb_fp_.reserve(tmpl.lb_fp_.capacity());
-    for (std::size_t i = 0; i < lb_ring_.size(); ++i) {
-        lb_ring_[i].fp.reserve(tmpl.lb_ring_[i].fp.capacity());
-        lb_ring_[i].iters.reserve(tmpl.lb_ring_[i].iters.capacity());
-    }
+    lb_.reserveLike(tmpl.lb_);
 }
 
 } // namespace syncperf::gpusim

@@ -38,7 +38,6 @@
 #ifndef SYNCPERF_GPUSIM_MACHINE_HH
 #define SYNCPERF_GPUSIM_MACHINE_HH
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -74,7 +73,7 @@ struct GpuRunResult
  * independent launches (reseed() between launches restores the
  * fresh-machine jitter stream while keeping warm buffers).
  */
-class GpuMachine
+class GpuMachine : private sim::LoopBatcher::Host
 {
   public:
     /**
@@ -200,10 +199,13 @@ class GpuMachine
      * skips re-deriving state the detector has proven periodic
      * (docs/performance.md, "Loop batching").
      */
-    void setLoopBatch(bool on) { loop_batch_ = on; }
+    void setLoopBatch(bool on) { lb_.setEnabled(on); }
 
     /** Loop-batching activity of the most recent run. */
-    const sim::LoopBatchCounters &loopBatch() const { return lb_; }
+    const sim::LoopBatchCounters &loopBatch() const
+    {
+        return lb_.counters();
+    }
 
     /**
      * Pin the loop-batching horizon at @p when for every subsequent
@@ -212,7 +214,7 @@ class GpuMachine
      * sim::EventQueue::no_tick, the default, unpins). Results stay
      * bit-identical -- the pin only shrinks what may be batched.
      */
-    void setBatchHorizonPin(Tick when) { lb_pin_ = when; }
+    void setBatchHorizonPin(Tick when) { lb_.setHorizonPin(when); }
 
     /** The machine's event queue (test hook for horizon pinning). */
     sim::EventQueue &eventQueue() { return eq_; }
@@ -338,29 +340,19 @@ class GpuMachine
     std::uint64_t resolveAddr(const WarpCtx &warp,
                               const DecodedGpuOp &op, int lane) const;
 
-    // --- Steady-state loop batching (docs/performance.md) ---
+    // --- Steady-state loop batching (sim::LoopBatcher::Host) ---
+    // The batcher decides when and how far to jump; the machine
+    // supplies its state encoding (per-warp liveness floors and the
+    // outcome-dead DRAM queue tail canonicalize) and the register
+    // shift.
 
-    /**
-     * Encode the complete dynamic machine state relative to the
-     * trigger-boundary tick @p base: live timing registers as exact
-     * offsets, provably dead ones canonicalized, the pending event
-     * set in execution order, and the rng state verbatim. Equal
-     * encodings at two boundaries prove the machine's dynamics are
-     * periodic with the boundaries' tick distance as the period.
-     */
-    void encodeState(Tick base, std::vector<std::uint64_t> &out) const;
-
-    /**
-     * Called at every timed body-iteration boundary of warp
-     * @p warp_id, before its iteration counter is decremented. When
-     * the boundary fingerprint matches the previous one, jump K
-     * whole periods algebraically and return the tick shift (0 when
-     * the check fell back to single-stepping).
-     */
-    Tick maybeBatch(int warp_id, Tick done);
-
-    /** Add @p delta to every live absolute-time register. */
-    void shiftTimes(Tick delta);
+    void encodeState(Tick base,
+                     std::vector<std::uint64_t> &out) const override;
+    void shiftTimes(Tick delta) override;
+    long &itersLeft(int warp_id) override
+    {
+        return warps_[warp_id].iters_left;
+    }
 
     GpuConfig cfg_;
     Pcg32 rng_;
@@ -403,50 +395,16 @@ class GpuMachine
     Tick grid_last_arrival_ = 0;
     std::vector<int> grid_waiters_;
 
-    // Steady-state loop batching. The first warp to complete a timed
-    // body iteration becomes the trigger; its boundaries drive the
-    // periodicity check.
-    bool loop_batch_ = true;
-    /** Sticky horizon pin re-applied to the queue by every run(). */
-    Tick lb_pin_ = sim::EventQueue::no_tick;
-    int lb_trigger_ = -1;
+    /** Steady-state loop batching; warps are its actors. */
+    sim::LoopBatcher lb_{*this, eq_, stats_, rng_};
     /** Whether the launched program can read mem_bw_free_ (it holds
      * a global load): if not, the register is outcome-dead and the
      * boundary fingerprint canonicalizes it (see encodeState). */
     bool lb_mem_bw_live_ = true;
-    long lb_skip_ = 0;             ///< boundaries left before retrying
-    long lb_penalty_ = 1;          ///< next backoff length (doubles)
-
-    /** One fully-encoded timed boundary the matcher can prove a
-     * period against: a later boundary whose fingerprint equals an
-     * anchor's closed a cycle, however many boundaries apart they are
-     * (distances are measured in ticks and per-warp iterations, not
-     * anchor slots, so backoff gaps between anchors cost nothing). */
-    struct LbAnchor
-    {
-        std::uint64_t hash = 0;   ///< fast reject before comparing fp
-        std::vector<std::uint64_t> fp;
-        Tick boundary = 0;
-        std::uint64_t rng = 0;
-        std::vector<long> iters;  ///< per-warp iters_left at boundary
-        sim::StatSnapshot stats;
-    };
-    /** Record the boundary at @p done (fingerprint in lb_fp_, which
-     * is recycled) as the newest anchor, evicting the oldest. */
-    LbAnchor &pushAnchor(Tick done);
-    /** Ring of the most recent anchors, newest at lb_ring_head_.
-     * One anchor degenerates to adjacent-boundary matching; several
-     * let contended regimes that rotate through P contenders -- and
-     * so only recur every P boundaries -- still close their cycle. */
-    std::array<LbAnchor, 8> lb_ring_;
-    int lb_ring_head_ = 0;         ///< slot of the newest anchor
-    int lb_ring_n_ = 0;            ///< valid anchors (0 = disarmed)
-    std::vector<std::uint64_t> lb_fp_;  ///< scratch for the current fp
     mutable std::vector<std::uint64_t> lb_map_scratch_;
     /** Per-warp next-event ticks: liveness floors for warp-local
      * stamps (scratch for encodeState). */
     mutable std::vector<Tick> lb_warp_floor_;
-    sim::LoopBatchCounters lb_;
 };
 
 } // namespace syncperf::gpusim

@@ -5,8 +5,10 @@
 
 #include "fault_injector.hh"
 
+#include <charconv>
 #include <csignal>
 #include <cstdlib>
+#include <cstring>
 
 #include <unistd.h>
 
@@ -67,16 +69,19 @@ FaultInjector::killShardSpecFromEnv(KillShardSpec &spec)
     const char *env = std::getenv("SYNCPERF_FAULT_KILL_SHARD");
     if (env == nullptr || *env == '\0')
         return false;
-    char *end = nullptr;
-    const long shard = std::strtol(env, &end, 10);
-    if (end == env || *end != ':' || shard < 0)
+    // Whole tokens only (see parseShardSpec): no whitespace, no '+',
+    // and nothing outside int.
+    const char *end = env + std::strlen(env);
+    KillShardSpec parsed;
+    const auto [colon, ec1] = std::from_chars(env, end, parsed.shard);
+    if (ec1 != std::errc{} || colon == end || *colon != ':' ||
+        parsed.shard < 0)
         return false;
-    const char *commits_text = end + 1;
-    const long commits = std::strtol(commits_text, &end, 10);
-    if (end == commits_text || *end != '\0' || commits < 0)
+    const auto [stop, ec2] =
+        std::from_chars(colon + 1, end, parsed.commits);
+    if (ec2 != std::errc{} || stop != end || parsed.commits < 0)
         return false;
-    spec.shard = static_cast<int>(shard);
-    spec.commits = static_cast<int>(commits);
+    spec = parsed;
     return true;
 }
 

@@ -39,8 +39,12 @@ TEST(ShardSpec, ParsesWellFormedSpecs)
 
 TEST(ShardSpec, RejectsMalformedSpecs)
 {
+    // Also: counts past int must not wrap into range, and signs or
+    // whitespace inside a token are not part of the k/N form.
     for (const char *bad : {"", "3", "3/", "/4", "a/b", "1/2x",
-                            "-1/4", "4/4", "5/4", "0/0", "1/0"}) {
+                            "-1/4", "4/4", "5/4", "0/0", "1/0",
+                            "0/3000000000", "4294967297/4294967298",
+                            " 1/4", "+1/4", "1/ 4"}) {
         EXPECT_FALSE(parseShardSpec(bad).isOk()) << bad;
     }
 }

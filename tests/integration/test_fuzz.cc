@@ -2,7 +2,8 @@
  * @file
  * Randomized robustness tests: seeded random SPMD programs and
  * kernels must always complete (no deadlock, no assertion failures),
- * deterministically, with plausible timing.
+ * deterministically, with plausible timing -- and steady-state loop
+ * batching must not change any output or probe of them.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include "common/rng.hh"
 #include "cpusim/machine.hh"
 #include "gpusim/machine.hh"
+#include "sim/stat.hh"
 
 namespace syncperf
 {
@@ -66,13 +68,12 @@ randomCpuBody(Pcg32 &rng)
     return body;
 }
 
-class CpuFuzz : public ::testing::TestWithParam<int>
+/** A random team of 1..16 threads sharing one random body, each
+ * running 1..@p max_iters timed iterations (one shared count when the
+ * body holds a barrier). */
+std::vector<cpusim::CpuProgram>
+randomCpuPrograms(Pcg32 &rng, long max_iters)
 {
-};
-
-TEST_P(CpuFuzz, RandomProgramsCompleteDeterministically)
-{
-    Pcg32 rng(static_cast<std::uint64_t>(GetParam()), 17);
     const int threads = 1 + static_cast<int>(rng.below(16));
     const auto shared_body = randomCpuBody(rng);
 
@@ -91,7 +92,9 @@ TEST_P(CpuFuzz, RandomProgramsCompleteDeterministically)
                               dataTypeSize(op.dtype);
             }
         }
-        p.iterations = 1 + static_cast<long>(rng.below(20));
+        p.iterations =
+            1 + static_cast<long>(rng.below(
+                    static_cast<std::uint32_t>(max_iters)));
         // Iterations must match when the body holds a barrier.
         programs.push_back(std::move(p));
     }
@@ -102,6 +105,29 @@ TEST_P(CpuFuzz, RandomProgramsCompleteDeterministically)
         for (auto &p : programs)
             p.iterations = programs.front().iterations;
     }
+    return programs;
+}
+
+/** Every counter and every histogram probe agree. */
+void
+expectSameStats(const sim::StatSet &a, const sim::StatSet &b)
+{
+    EXPECT_EQ(a.all(), b.all());
+    for (int i = 0; i < static_cast<int>(sim::HistProbe::Count); ++i) {
+        const auto p = static_cast<sim::HistProbe>(i);
+        EXPECT_TRUE(a.hist(p) == b.hist(p)) << sim::histProbeName(p);
+    }
+}
+
+class CpuFuzz : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(CpuFuzz, RandomProgramsCompleteDeterministically)
+{
+    Pcg32 rng(static_cast<std::uint64_t>(GetParam()), 17);
+    const auto programs = randomCpuPrograms(rng, 20);
+    const int threads = static_cast<int>(programs.size());
 
     cpusim::CpuMachine a(cpusim::CpuConfig::system3(), Affinity::System,
                          7);
@@ -118,6 +144,34 @@ TEST_P(CpuFuzz, RandomProgramsCompleteDeterministically)
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CpuFuzz, ::testing::Range(1, 26));
+
+TEST(CpuLoopBatchFuzz, BatchedRunsMatchSingleStepOnRandomPrograms)
+{
+    // Loops 10x the fuzz range above, long enough for the batcher to
+    // prove periods and jump; every output and probe must still
+    // equal the single-stepped run's.
+    std::uint64_t batched_iters = 0;
+    for (int seed = 1; seed < 26; ++seed) {
+        SCOPED_TRACE(seed);
+        Pcg32 rng(static_cast<std::uint64_t>(seed), 17);
+        const auto programs = randomCpuPrograms(rng, 200);
+
+        cpusim::CpuMachine batched(cpusim::CpuConfig::system3(),
+                                   Affinity::System, 7);
+        cpusim::CpuMachine stepped(cpusim::CpuConfig::system3(),
+                                   Affinity::System, 7);
+        stepped.setLoopBatch(false);
+        const auto rb = batched.run(programs, 2);
+        const auto rs = stepped.run(programs, 2);
+        EXPECT_EQ(rb.thread_cycles, rs.thread_cycles);
+        EXPECT_EQ(rb.total_cycles, rs.total_cycles);
+        expectSameStats(batched.stats(), stepped.stats());
+        EXPECT_EQ(stepped.loopBatch().batched_iters, 0u);
+        batched_iters += batched.loopBatch().batched_iters;
+    }
+    // Otherwise the comparison above would hold vacuously.
+    EXPECT_GT(batched_iters, 0u);
+}
 
 TEST(CpuDeadlock, BarrierInsideCriticalSectionIsDetected)
 {
@@ -146,8 +200,9 @@ TEST(CpuDeadlock, BarrierInsideCriticalSectionIsDetected)
 
 // ---------------------------------------------------------------- GPU
 
+/** A random kernel body running 1..@p max_iters timed iterations. */
 gpusim::GpuKernel
-randomGpuKernel(Pcg32 &rng)
+randomGpuKernel(Pcg32 &rng, long max_iters)
 {
     using gpusim::AddressMode;
     using gpusim::AtomicOp;
@@ -191,8 +246,18 @@ randomGpuKernel(Pcg32 &rng)
             break;
         }
     }
-    k.body_iters = 1 + static_cast<long>(rng.below(15));
+    k.body_iters =
+        1 + static_cast<long>(
+                rng.below(static_cast<std::uint32_t>(max_iters)));
     return k;
+}
+
+/** 1..8 blocks of 1..256 threads. */
+gpusim::LaunchConfig
+randomLaunch(Pcg32 &rng)
+{
+    const int blocks = 1 + static_cast<int>(rng.below(8));
+    return {blocks, static_cast<int>(1 + rng.below(256))};
 }
 
 class GpuFuzz : public ::testing::TestWithParam<int>
@@ -202,10 +267,8 @@ class GpuFuzz : public ::testing::TestWithParam<int>
 TEST_P(GpuFuzz, RandomKernelsCompleteDeterministically)
 {
     Pcg32 rng(static_cast<std::uint64_t>(GetParam()), 23);
-    const auto kernel = randomGpuKernel(rng);
-    const gpusim::LaunchConfig launch{
-        1 + static_cast<int>(rng.below(8)),
-        static_cast<int>(1 + rng.below(256))};
+    const auto kernel = randomGpuKernel(rng, 15);
+    const auto launch = randomLaunch(rng);
 
     gpusim::GpuMachine a(gpusim::GpuConfig::rtx4090(), 9);
     gpusim::GpuMachine b(gpusim::GpuConfig::rtx4090(), 9);
@@ -220,6 +283,30 @@ TEST_P(GpuFuzz, RandomKernelsCompleteDeterministically)
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GpuFuzz, ::testing::Range(1, 26));
+
+TEST(GpuLoopBatchFuzz, BatchedRunsMatchSingleStepOnRandomKernels)
+{
+    // Loops 10x the fuzz range above; see the CPU variant.
+    std::uint64_t batched_iters = 0;
+    for (int seed = 1; seed < 26; ++seed) {
+        SCOPED_TRACE(seed);
+        Pcg32 rng(static_cast<std::uint64_t>(seed), 23);
+        const auto kernel = randomGpuKernel(rng, 150);
+        const auto launch = randomLaunch(rng);
+
+        gpusim::GpuMachine batched(gpusim::GpuConfig::rtx4090(), 9);
+        gpusim::GpuMachine stepped(gpusim::GpuConfig::rtx4090(), 9);
+        stepped.setLoopBatch(false);
+        const auto rb = batched.run(kernel, launch, 1);
+        const auto rs = stepped.run(kernel, launch, 1);
+        EXPECT_EQ(rb.thread_cycles, rs.thread_cycles);
+        EXPECT_EQ(rb.total_cycles, rs.total_cycles);
+        expectSameStats(batched.stats(), stepped.stats());
+        EXPECT_EQ(stepped.loopBatch().batched_iters, 0u);
+        batched_iters += batched.loopBatch().batched_iters;
+    }
+    EXPECT_GT(batched_iters, 0u);
+}
 
 // --------------------------------------------- GPU monotonicity
 

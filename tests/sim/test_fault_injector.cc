@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <filesystem>
 #include <string>
 
@@ -46,6 +47,25 @@ barrierExperiment()
 TEST(FaultInjector, InactiveByDefault)
 {
     EXPECT_EQ(FaultInjector::active(), nullptr);
+}
+
+TEST(FaultInjector, KillShardSpecParsesWholeIntTokensOnly)
+{
+    FaultInjector::KillShardSpec spec;
+    const auto parse = [&spec](const char *value) {
+        ::setenv("SYNCPERF_FAULT_KILL_SHARD", value, 1);
+        const bool ok = FaultInjector::killShardSpecFromEnv(spec);
+        ::unsetenv("SYNCPERF_FAULT_KILL_SHARD");
+        return ok;
+    };
+    ASSERT_TRUE(parse("1:2"));
+    EXPECT_EQ(spec.shard, 1);
+    EXPECT_EQ(spec.commits, 2);
+    // A shard index past int must not wrap onto a real shard, and a
+    // sign or blank is not part of a token.
+    for (const char *bad : {"4294967297:1", "+1:2", " 1:2", "1: 2",
+                            "1:4294967298", "1", "1:", ":2", "-1:2"})
+        EXPECT_FALSE(parse(bad)) << bad;
 }
 
 TEST(FaultInjector, ScopeInstallsAndRestores)

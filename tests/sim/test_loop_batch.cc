@@ -107,6 +107,20 @@ TEST(CpuLoopBatch, ContendedAtomicsMatchSingleStepAndFallBack)
     EXPECT_GT(lb.fallbacks, 0u);
 }
 
+TEST(CpuLoopBatch, RotatingContendersCloseAgainstAnOlderAnchor)
+{
+    // Three threads pass one line from contender to contender, so the
+    // machine state recurs only every few trigger boundaries, never at
+    // adjacent ones. Only an anchor ring reaching back past the
+    // rotation can close that cycle; one anchor batches a small
+    // fraction of the run.
+    const std::vector<cpusim::CpuProgram> programs(
+        3, program({op(cpusim::CpuOpKind::AtomicRmw, 0x2000)}, 400));
+    sim::LoopBatchCounters lb;
+    expectCpuIdentity(programs, lb);
+    EXPECT_GT(lb.batched_iters, lb.total_iters / 2);
+}
+
 TEST(CpuLoopBatch, BarrierTeamMatchesSingleStep)
 {
     const std::vector<cpusim::CpuProgram> programs(
