@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <bit>
 #include <iterator>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -37,19 +38,19 @@ CpuMachine::internLine(std::uint64_t addr)
 {
     const std::uint64_t key = addr / cfg_.cache_line_bytes;
     const auto [it, fresh] =
-        line_index_.try_emplace(key, static_cast<int>(lines_.size()));
+        st_.line_index.try_emplace(key, static_cast<int>(st_.lines.size()));
     if (fresh)
-        lines_.emplace_back();
+        st_.lines.emplace_back();
     return it->second;
 }
 
 int
 CpuMachine::internLock(int lock_id)
 {
-    const auto [it, fresh] =
-        lock_index_.try_emplace(lock_id, static_cast<int>(locks_.size()));
+    const auto [it, fresh] = st_.lock_index.try_emplace(
+        lock_id, static_cast<int>(st_.locks.size()));
     if (fresh)
-        locks_.emplace_back();
+        st_.locks.emplace_back();
     return it->second;
 }
 
@@ -86,8 +87,8 @@ CpuMachine::transferLatency(const Line &line, const HwPlace &to)
 Tick
 CpuMachine::coherencePointSlot(Tick ready)
 {
-    const Tick slot = std::max(ready, coherence_point_free_);
-    coherence_point_free_ = slot + cfg_.coherence_point_ii;
+    const Tick slot = std::max(ready, st_.coherence_point_free);
+    st_.coherence_point_free = slot + cfg_.coherence_point_ii;
     return slot;
 }
 
@@ -163,34 +164,24 @@ CpuMachine::barrierLatency(int team_size)
 void
 CpuMachine::arriveBarrier(int tid, Tick when)
 {
-    if (barrier_arrivals_ == 0)
-        barrier_first_arrival_ = when;
-    else
-        barrier_first_arrival_ = std::min(barrier_first_arrival_, when);
-    ++barrier_arrivals_;
-    barrier_last_arrival_ = std::max(barrier_last_arrival_, when);
-    barrier_waiters_.push_back(tid);
-    if (barrier_arrivals_ < static_cast<int>(threads_.size()))
+    st_.barrier.arrive(tid, when);
+    if (st_.barrier.count() < static_cast<int>(st_.threads.size()))
         return;
 
     stats_.record(sim::HistProbe::CpuBarrierSpreadTicks,
-                  barrier_last_arrival_ - barrier_first_arrival_);
+                  st_.barrier.last - st_.barrier.first);
     const Tick release =
-        barrier_last_arrival_ +
-        barrierLatency(static_cast<int>(threads_.size()));
-    std::vector<int> waiters = std::move(barrier_waiters_);
-    barrier_waiters_.clear();
-    barrier_arrivals_ = 0;
-    barrier_first_arrival_ = 0;
-    barrier_last_arrival_ = 0;
+        st_.barrier.last +
+        barrierLatency(static_cast<int>(st_.threads.size()));
+    const auto waiters = std::exchange(st_.barrier, {}).waiters;
 
     for (int w : waiters) {
         // The callback reads its tick from the queue (it runs exactly
         // at `release`), so a loop-batch shift of the pending event
         // shifts the continuation with it.
-        threads_[w].resume = true;
+        st_.threads[w].resume = true;
         eq_.schedule(release, [this, w] {
-            threads_[w].resume = false;
+            st_.threads[w].resume = false;
             finishOp(w, eq_.now());
         }, w);
     }
@@ -199,7 +190,7 @@ CpuMachine::arriveBarrier(int tid, Tick when)
 void
 CpuMachine::finishOp(int tid, Tick done)
 {
-    ThreadCtx &ctx = threads_[tid];
+    ThreadCtx &ctx = st_.threads[tid];
     ++ctx.pc;
     if (ctx.pc < ctx.code->size()) {
         eq_.schedule(done, [this, tid] { step(tid); }, tid);
@@ -209,25 +200,23 @@ CpuMachine::finishOp(int tid, Tick done)
     // Body iteration complete.
     ctx.pc = 0;
     if (!ctx.timed) {
-        if (--warm_left_[tid] > 0) {
+        if (--st_.warm_left[tid] > 0) {
             eq_.schedule(done, [this, tid] { step(tid); }, tid);
             return;
         }
         // Alignment join before the timed region (Listing 2 line 15).
-        ++align_arrivals_;
-        align_last_ = std::max(align_last_, done);
-        align_waiters_.push_back(tid);
-        if (align_arrivals_ == static_cast<int>(threads_.size())) {
-            const Tick go = align_last_ +
-                barrierLatency(static_cast<int>(threads_.size()));
-            for (int w : align_waiters_) {
+        st_.align.arrive(tid, done);
+        if (st_.align.count() == static_cast<int>(st_.threads.size())) {
+            const Tick go = st_.align.last +
+                barrierLatency(static_cast<int>(st_.threads.size()));
+            for (int w : st_.align.waiters) {
                 eq_.schedule(go, [this, w] {
-                    threads_[w].timed = true;
-                    threads_[w].start_tick = eq_.now();
+                    st_.threads[w].timed = true;
+                    st_.threads[w].start_tick = eq_.now();
                     step(w);
                 }, w);
             }
-            align_waiters_.clear();
+            st_.align = {};
         }
         return;
     }
@@ -246,101 +235,16 @@ CpuMachine::finishOp(int tid, Tick done)
 }
 
 void
-CpuMachine::encodeState(Tick base, std::vector<std::uint64_t> &out) const
-{
-    // Liveness floor: a max-register at or below both the boundary
-    // and every pending event can never win another max() against a
-    // future time, so it is canonicalized to one dead value; anything
-    // above the floor is encoded as its exact offset from the
-    // boundary. Live past registers (they feed min()s or wait-time
-    // stats) always keep their exact offset.
-    Tick floor = eq_.earliestPending();
-    if (base < floor)
-        floor = base;
-    const auto off = [base](Tick v) {
-        return static_cast<std::uint64_t>(v - base);
-    };
-    constexpr std::uint64_t dead = std::uint64_t{1} << 63;
-    const auto maxreg = [&](Tick v) {
-        return v > floor ? off(v) : dead;
-    };
-
-    out.clear();
-    out.push_back(rng_.state());
-    for (const ThreadCtx &t : threads_) {
-        out.push_back(static_cast<std::uint64_t>(t.pc) << 4 |
-                      static_cast<std::uint64_t>(t.timed) << 3 |
-                      static_cast<std::uint64_t>(t.done) << 2 |
-                      static_cast<std::uint64_t>(t.resume) << 1 |
-                      static_cast<std::uint64_t>(t.has_pending_store));
-        out.push_back(static_cast<std::uint64_t>(
-            (t.has_pending_store ? t.pending_store_line : -1) + 1));
-    }
-    for (int w : warm_left_)
-        out.push_back(static_cast<std::uint64_t>(w));
-    for (Tick v : core_free_)
-        out.push_back(maxreg(v));
-    out.push_back(maxreg(coherence_point_free_));
-    for (const Line &l : lines_) {
-        out.push_back(static_cast<std::uint64_t>(l.owner_core + 1) << 1 |
-                      static_cast<std::uint64_t>(l.exclusive));
-        out.push_back(l.copies);
-        out.push_back(maxreg(l.free_at));
-    }
-    for (const LockState &l : locks_) {
-        out.push_back(static_cast<std::uint64_t>(l.held) << 32 |
-                      static_cast<std::uint64_t>(l.waiters.size()));
-        for (const LockWaiter &w : l.waiters) {
-            out.push_back(static_cast<std::uint64_t>(w.tid));
-            out.push_back(off(w.since)); // feeds lock_wait_ticks later
-        }
-    }
-    out.push_back(static_cast<std::uint64_t>(barrier_arrivals_));
-    // Both rendezvous stamps are live while a barrier is partially
-    // arrived: first_arrival feeds future min()s, and last_arrival
-    // can still win its max() -- a later arrival may carry a smaller
-    // tick when issue contention delayed an earlier one.
-    out.push_back(barrier_arrivals_ ? off(barrier_first_arrival_) : 0);
-    out.push_back(barrier_arrivals_ ? off(barrier_last_arrival_) : 0);
-    for (int w : barrier_waiters_)
-        out.push_back(static_cast<std::uint64_t>(w));
-    out.push_back(static_cast<std::uint64_t>(align_arrivals_));
-    for (int w : align_waiters_)
-        out.push_back(static_cast<std::uint64_t>(w));
-    eq_.encodePending(base, out);
-}
-
-void
-CpuMachine::shiftTimes(Tick delta)
-{
-    for (Tick &v : core_free_)
-        v += delta;
-    coherence_point_free_ += delta;
-    for (Line &l : lines_)
-        l.free_at += delta;
-    for (LockState &l : locks_)
-        for (LockWaiter &w : l.waiters)
-            w.since += delta;
-    if (barrier_arrivals_ > 0) {
-        barrier_first_arrival_ += delta;
-        barrier_last_arrival_ += delta;
-    }
-    // align_last_ is final once the team is timed (and a trigger
-    // exists only then); start/end ticks are frozen outputs shared
-    // with the unbatched run; the rng did not advance.
-}
-
-void
 CpuMachine::step(int tid)
 {
-    ThreadCtx &ctx = threads_[tid];
+    ThreadCtx &ctx = st_.threads[tid];
     SYNCPERF_ASSERT(!ctx.done);
     const DecodedOp &op = (*ctx.code)[ctx.pc];
     const Tick now = eq_.now();
 
     // Issue through the core pipeline (shared by SMT siblings).
-    Tick start = std::max(now, core_free_[ctx.place.core]);
-    core_free_[ctx.place.core] = start + cfg_.issue_cycles;
+    Tick start = std::max(now, st_.core_free[ctx.place.core]);
+    st_.core_free[ctx.place.core] = start + cfg_.issue_cycles;
     start += cfg_.issue_cycles;
 
     (this->*op.handler)(tid, op, start);
@@ -350,8 +254,8 @@ void
 CpuMachine::execLoad(int tid, const DecodedOp &op, Tick start)
 {
     // x86-style: an atomic read is an ordinary aligned load.
-    ThreadCtx &ctx = threads_[tid];
-    Line &line = lines_[op.line];
+    ThreadCtx &ctx = st_.threads[tid];
+    Line &line = st_.lines[op.line];
     const std::uint64_t bit = 1ULL << ctx.place.core;
     Tick done;
     if (line.copies & bit) {
@@ -394,8 +298,8 @@ CpuMachine::acquireExclusive(Line &line, const HwPlace &place, Tick start,
 void
 CpuMachine::execStore(int tid, const DecodedOp &op, Tick start)
 {
-    ThreadCtx &ctx = threads_[tid];
-    Line &line = lines_[op.line];
+    ThreadCtx &ctx = st_.threads[tid];
+    Line &line = st_.lines[op.line];
     Tick done;
     if (line.exclusive && line.owner_core == ctx.place.core) {
         done = start + cfg_.l1_hit_latency;
@@ -411,8 +315,8 @@ CpuMachine::execStore(int tid, const DecodedOp &op, Tick start)
 void
 CpuMachine::execAtomicStore(int tid, const DecodedOp &op, Tick start)
 {
-    ThreadCtx &ctx = threads_[tid];
-    Line &line = lines_[op.line];
+    ThreadCtx &ctx = st_.threads[tid];
+    Line &line = st_.lines[op.line];
     Tick done;
     if (line.exclusive && line.owner_core == ctx.place.core) {
         done = start + cfg_.l1_hit_latency;
@@ -428,8 +332,8 @@ CpuMachine::execAtomicStore(int tid, const DecodedOp &op, Tick start)
 void
 CpuMachine::execAtomicRmw(int tid, const DecodedOp &op, Tick start)
 {
-    ThreadCtx &ctx = threads_[tid];
-    Line &line = lines_[op.line];
+    ThreadCtx &ctx = st_.threads[tid];
+    Line &line = st_.lines[op.line];
     Tick done;
     if (line.exclusive && line.owner_core == ctx.place.core) {
         done = start + cfg_.l1_hit_latency + op.alu_cost;
@@ -445,10 +349,10 @@ CpuMachine::execAtomicRmw(int tid, const DecodedOp &op, Tick start)
 void
 CpuMachine::execFence(int tid, const DecodedOp &, Tick start)
 {
-    ThreadCtx &ctx = threads_[tid];
+    ThreadCtx &ctx = st_.threads[tid];
     Tick done = start + cfg_.fence_drain;
     if (ctx.has_pending_store) {
-        Line &line = lines_[ctx.pending_store_line];
+        Line &line = st_.lines[ctx.pending_store_line];
         if (!(line.exclusive && line.owner_core == ctx.place.core)) {
             // The pending store's line was stolen (false sharing):
             // the drain must re-acquire it like a store would.
@@ -489,8 +393,8 @@ CpuMachine::execBarrier(int tid, const DecodedOp &, Tick start)
 void
 CpuMachine::execLockAcquire(int tid, const DecodedOp &op, Tick start)
 {
-    ThreadCtx &ctx = threads_[tid];
-    LockState &lock = locks_[op.lock];
+    ThreadCtx &ctx = st_.threads[tid];
+    LockState &lock = st_.locks[op.lock];
     if (lock.held) {
         stats_.inc(sim::Probe::CpuLockContended);
         lock.waiters.push_back(LockWaiter{tid, start});
@@ -498,7 +402,7 @@ CpuMachine::execLockAcquire(int tid, const DecodedOp &op, Tick start)
     }
     lock.held = true;
     // Acquire performs a CAS on the lock line.
-    Line &line = lines_[op.line];
+    Line &line = st_.lines[op.line];
     Tick done;
     if (line.exclusive && line.owner_core == ctx.place.core) {
         done = start + cfg_.l1_hit_latency + cfg_.alu_int_rmw;
@@ -520,7 +424,7 @@ CpuMachine::execLockAcquire(int tid, const DecodedOp &op, Tick start)
 void
 CpuMachine::execLockRelease(int tid, const DecodedOp &op, Tick start)
 {
-    LockState &lock = locks_[op.lock];
+    LockState &lock = st_.locks[op.lock];
     SYNCPERF_ASSERT(lock.held, "release of unheld lock");
     const Tick done = start + cfg_.l1_hit_latency;
     if (!lock.waiters.empty()) {
@@ -552,9 +456,9 @@ CpuMachine::execLockRelease(int tid, const DecodedOp &op, Tick start)
         stats_.inc(sim::Probe::CpuLockHandoff);
         stats_.record(sim::HistProbe::CpuLockWaitTicks,
                       grant - waiter.since);
-        threads_[next].resume = true;
+        st_.threads[next].resume = true;
         eq_.schedule(grant, [this, next] {
-            threads_[next].resume = false;
+            st_.threads[next].resume = false;
             finishOp(next, eq_.now());
         }, next);
     } else {
@@ -627,70 +531,38 @@ CpuMachine::run(const std::vector<CpuProgram> &programs,
     SYNCPERF_ASSERT(warmup_iterations >= 1,
                     "at least one warmup iteration required");
 
-    const DecodedImage *image = nullptr;
+    eq_.reset();
+    stats_.clear();
+    sim::resetState(st_);
+    // A cached image skips decode and interning entirely; key 0
+    // decodes into the machine's own scratch image. Either way the
+    // threads execute the image's arrays in place.
+    const DecodedImage *image = &st_.cold;
     if (decode_key != 0) {
         const auto it = images_.find(decode_key);
         SYNCPERF_ASSERT(it != images_.end(),
                         "run() with an unmaterialized decode key");
         image = it->second.get();
-        SYNCPERF_ASSERT(static_cast<int>(image->code.size()) == n,
-                        "decoded image team size mismatch");
-    }
-
-    places_ = mapThreads(cfg_, affinity_, n);
-    core_free_.assign(cfg_.totalCores(), 0);
-    if (image != nullptr) {
-        // Fast path: the image carries the interned universe sizes,
-        // so the line/lock tables restore by assignment and the
-        // interning maps stay untouched (they are decode-time state;
-        // the cold path below rebuilds them before use).
-        lines_.assign(static_cast<std::size_t>(image->n_lines),
-                      Line{});
-        locks_.assign(static_cast<std::size_t>(image->n_locks),
-                      LockState{});
     } else {
-        lines_.clear();
-        line_index_.clear();
-        locks_.clear();
-        lock_index_.clear();
+        decodeImageInto(programs, st_.cold);
     }
-    coherence_point_free_ = 0;
-    eq_.reset();
-    stats_.clear();
-    threads_.assign(n, ThreadCtx{});
-    warm_left_.assign(n, warmup_iterations);
-    align_arrivals_ = 0;
-    align_last_ = 0;
-    align_waiters_.clear();
-    barrier_arrivals_ = 0;
-    barrier_first_arrival_ = 0;
-    barrier_last_arrival_ = 0;
-    barrier_waiters_.clear();
+    SYNCPERF_ASSERT(static_cast<int>(image->code.size()) == n,
+                    "decoded image team size mismatch");
+    st_.places = mapThreads(cfg_, affinity_, n);
+    st_.core_free.assign(cfg_.totalCores(), 0);
+    st_.warm_left.assign(n, warmup_iterations);
+    st_.lines.assign(static_cast<std::size_t>(image->n_lines), Line{});
+    st_.locks.assign(static_cast<std::size_t>(image->n_locks),
+                     LockState{});
     std::uint64_t total_iters = 0;
     for (const auto &p : programs)
         total_iters += static_cast<std::uint64_t>(p.iterations);
     lb_.reset(n, total_iters);
 
-    // Decode once per program: dense handler+operand arrays with all
-    // config-dependent costs and container lookups hoisted out of
-    // the execution loop. A cached image skips this entirely -- the
-    // threads execute the image's arrays in place.
-    if (image == nullptr) {
-        decoded_.resize(n);
-        for (int t = 0; t < n; ++t) {
-            auto &code = decoded_[t];
-            code.clear();
-            code.reserve(programs[t].body.size());
-            for (const CpuOp &op : programs[t].body)
-                code.push_back(decodeOp(op));
-        }
-    }
-
     for (int t = 0; t < n; ++t) {
-        threads_[t].code =
-            image != nullptr ? &image->code[t] : &decoded_[t];
-        threads_[t].place = places_[t];
-        threads_[t].iters_left = programs[t].iterations;
+        st_.threads.push_back({.code = &image->code[t],
+                               .place = st_.places[t],
+                               .iters_left = programs[t].iterations});
         eq_.schedule(0, [this, t] { step(t); }, t);
     }
 
@@ -699,7 +571,7 @@ CpuMachine::run(const std::vector<CpuProgram> &programs,
     CpuRunResult result;
     result.total_cycles = end;
     result.thread_cycles.reserve(n);
-    for (const auto &ctx : threads_) {
+    for (const auto &ctx : st_.threads) {
         SYNCPERF_ASSERT(ctx.done, "thread did not finish (deadlock?)");
         result.thread_cycles.push_back(ctx.end_tick - ctx.start_tick);
     }
@@ -739,10 +611,10 @@ CpuMachine::decodeImageInto(const std::vector<CpuProgram> &programs,
     // Decode with a fresh interning universe; run() re-derives every
     // piece of this state anyway, so borrowing the members here is
     // safe on any path.
-    lines_.clear();
-    line_index_.clear();
-    locks_.clear();
-    lock_index_.clear();
+    st_.lines.clear();
+    st_.line_index.clear();
+    st_.locks.clear();
+    st_.lock_index.clear();
     img.code.resize(programs.size());
     for (std::size_t t = 0; t < programs.size(); ++t) {
         auto &code = img.code[t];
@@ -751,8 +623,8 @@ CpuMachine::decodeImageInto(const std::vector<CpuProgram> &programs,
         for (const CpuOp &op : programs[t].body)
             code.push_back(decodeOp(op));
     }
-    img.n_lines = static_cast<int>(lines_.size());
-    img.n_locks = static_cast<int>(locks_.size());
+    img.n_lines = static_cast<int>(st_.lines.size());
+    img.n_locks = static_cast<int>(st_.locks.size());
     img.fingerprint = fingerprintOf(img);
 }
 
@@ -804,15 +676,7 @@ void
 CpuMachine::cloneFrom(const CpuMachine &tmpl)
 {
     eq_.reserve(tmpl.eq_.slotCapacity());
-    threads_.reserve(tmpl.threads_.capacity());
-    places_.reserve(tmpl.places_.capacity());
-    core_free_.reserve(tmpl.core_free_.capacity());
-    decoded_.reserve(tmpl.decoded_.capacity());
-    lines_.reserve(tmpl.lines_.capacity());
-    locks_.reserve(tmpl.locks_.capacity());
-    warm_left_.reserve(tmpl.warm_left_.capacity());
-    barrier_waiters_.reserve(tmpl.barrier_waiters_.capacity());
-    align_waiters_.reserve(tmpl.align_waiters_.capacity());
+    sim::reserveLike(st_, tmpl.st_);
     lb_.reserveLike(tmpl.lb_);
 }
 

@@ -181,7 +181,7 @@ class CpuMachine : private sim::LoopBatcher::Host
     const CpuConfig &config() const { return cfg_; }
 
     /** The placement computed for the last run's team. */
-    const std::vector<HwPlace> &places() const { return places_; }
+    const std::vector<HwPlace> &places() const { return st_.places; }
 
     /**
      * Enable/disable steady-state loop batching (default on). The
@@ -217,6 +217,14 @@ class CpuMachine : private sim::LoopBatcher::Host
         bool exclusive = false;
         std::uint64_t copies = 0;  ///< bitmask of cores with a copy
         Tick free_at = 0;          ///< next exclusive-service slot
+
+        template <class S, class V>
+        static void visit(S &l, V &&v)
+        {
+            auto &[owner_core, exclusive, copies, free_at] = l;
+            v(sim::identity, owner_core, exclusive, copies);
+            v(sim::maxreg, free_at);
+        }
     };
 
     /** One blocked lock acquirer, with the tick it blocked at. */
@@ -224,6 +232,14 @@ class CpuMachine : private sim::LoopBatcher::Host
     {
         int tid;
         Tick since;
+
+        template <class S, class V>
+        static void visit(S &w, V &&v)
+        {
+            auto &[tid, since] = w;
+            v(sim::identity, tid);
+            v(sim::past, since);  // feeds lock_wait_ticks at the grant
+        }
     };
 
     /** FIFO lock used for critical sections. */
@@ -231,6 +247,14 @@ class CpuMachine : private sim::LoopBatcher::Host
     {
         bool held = false;
         std::deque<LockWaiter> waiters;
+
+        template <class S, class V>
+        static void visit(S &l, V &&v)
+        {
+            auto &[held, waiters] = l;
+            v(sim::identity, held);
+            v(sim::records, waiters);
+        }
     };
 
     /** Per-thread execution cursor. */
@@ -250,6 +274,56 @@ class CpuMachine : private sim::LoopBatcher::Host
         Tick end_tick = 0;
         int pending_store_line = -1;  ///< interned index
         bool has_pending_store = false;
+
+        template <class S, class V>
+        static void visit(S &t, V &&v)
+        {
+            auto &[code, place, iters_left, pc, timed, done, resume,
+                   start_tick, end_tick, pending_store_line,
+                   has_pending_store] = t;
+            // Geometry, the batcher's own counter and frozen outputs.
+            v(sim::fixed, code, place, iters_left, start_tick, end_tick);
+            v(sim::identity, pc, timed, done, resume, has_pending_store);
+            v(sim::identityWhen(has_pending_store), pending_store_line);
+        }
+    };
+
+    /** Everything one run() mutates: the state table whose visit
+     * drives the batcher's fingerprint and shift, the per-run reset
+     * and cloneFrom's reserves (sim/state_codec.hh). */
+    struct State
+    {
+        std::vector<ThreadCtx> threads;
+        std::vector<HwPlace> places;
+        std::vector<Tick> core_free;
+        Tick coherence_point_free = 0;
+        std::vector<Line> lines;
+        std::vector<LockState> locks;
+        std::vector<int> warm_left;
+
+        sim::Arrivals barrier;  ///< team-wide CpuOpKind::Barrier
+        /** Alignment join between warmup and the timed region. */
+        sim::Arrivals align;
+
+        // Decode-time buffers: key 0's image and the line/lock
+        // interning maps.
+        DecodedImage cold;
+        std::unordered_map<std::uint64_t, int> line_index;
+        std::unordered_map<int, int> lock_index;
+
+        template <class S, class V>
+        static void visit(S &s, V &&v)
+        {
+            auto &[threads, places, core_free, coherence_point_free,
+                   lines, locks, warm_left, barrier, align, cold,
+                   line_index, lock_index] = s;
+            v(sim::actors, threads);
+            v(sim::fixed, places);
+            v(sim::maxreg, core_free, coherence_point_free);
+            v(sim::records, lines, locks, barrier, align);
+            v(sim::identity, warm_left);
+            v(sim::warm, cold, line_index, lock_index);
+        }
     };
 
     /** Dense index for the cache line containing @p addr. */
@@ -302,14 +376,18 @@ class CpuMachine : private sim::LoopBatcher::Host
                           Tick alu_cost, bool ordering_point);
 
     // --- Steady-state loop batching (sim::LoopBatcher::Host) ---
-    // The batcher decides when and how far to jump; the machine
-    // supplies its state encoding (max-registers below the liveness
-    // floor canonicalize to one dead value) and the register shift.
+    // The batcher decides when and how far to jump; both halves the
+    // machine supplies are walks over its state table (State::visit).
 
-    void encodeState(Tick base,
-                     std::vector<std::uint64_t> &out) const override;
-    void shiftTimes(Tick delta) override;
-    long &itersLeft(int tid) override { return threads_[tid].iters_left; }
+    void encodeState(sim::StateEncoder &enc) const override
+    {
+        State::visit(st_, enc);
+    }
+    void shiftTimes(Tick delta) override
+    {
+        State::visit(st_, sim::StateShifter(delta));
+    }
+    long &itersLeft(int tid) override { return st_.threads[tid].iters_left; }
 
     CpuConfig cfg_;
     Affinity affinity_;
@@ -317,33 +395,12 @@ class CpuMachine : private sim::LoopBatcher::Host
     sim::EventQueue eq_;
     sim::StatSet stats_;
 
-    std::vector<ThreadCtx> threads_;
-    std::vector<HwPlace> places_;
-    std::vector<Tick> core_free_;
-    std::vector<std::vector<DecodedOp>> decoded_;
-    std::vector<Line> lines_;
-    std::vector<LockState> locks_;
-    std::unordered_map<std::uint64_t, int> line_index_;
-    std::unordered_map<int, int> lock_index_;
-    Tick coherence_point_free_ = 0;
+    State st_;
 
     /** Decoded images by key; shared so clones stay O(dirty bytes). */
     std::unordered_map<std::uint64_t,
                        std::shared_ptr<const DecodedImage>>
         images_;
-
-    std::vector<int> warm_left_;
-
-    // Team-wide barrier (CpuOpKind::Barrier) rendezvous state.
-    int barrier_arrivals_ = 0;
-    Tick barrier_first_arrival_ = 0;
-    Tick barrier_last_arrival_ = 0;
-    std::vector<int> barrier_waiters_;
-
-    // Alignment join between warmup and the timed region.
-    int align_arrivals_ = 0;
-    Tick align_last_ = 0;
-    std::vector<int> align_waiters_;
 
     /** Steady-state loop batching; threads are its actors. */
     sim::LoopBatcher lb_{*this, eq_, stats_, rng_};

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -47,7 +48,7 @@ GpuMachine::reseed(std::uint64_t seed)
 Tick
 GpuMachine::issueThrough(WarpCtx &warp, Tick ready, int uops)
 {
-    Tick &slot = sched_free_[warp.sm * cfg_.schedulers_per_sm + warp.sched];
+    Tick &slot = st_.sched_free[warp.sm * cfg_.schedulers_per_sm + warp.sched];
     const Tick start = std::max(ready, slot);
     slot = start + static_cast<Tick>(uops) * cfg_.issue_ii;
     return slot;
@@ -99,7 +100,7 @@ GpuMachine::resolveAddr(const WarpCtx &warp, const DecodedGpuOp &op,
 void
 GpuMachine::execAlu(int warp_id, const DecodedGpuOp &op, Tick now)
 {
-    finishOp(warp_id, issueThrough(warps_[warp_id], now) + op.lat);
+    finishOp(warp_id, issueThrough(st_.warps[warp_id], now) + op.lat);
 }
 
 void
@@ -113,13 +114,13 @@ GpuMachine::execDivergentAlu(int warp_id, const DecodedGpuOp &op,
     stats_.inc(sim::Probe::GpuDivergentPaths,
                static_cast<std::uint64_t>(op.uops));
     finishOp(warp_id,
-             issueThrough(warps_[warp_id], now, op.uops) + op.lat);
+             issueThrough(st_.warps[warp_id], now, op.uops) + op.lat);
 }
 
 void
 GpuMachine::execSyncWarp(int warp_id, const DecodedGpuOp &op, Tick now)
 {
-    finishOp(warp_id, issueThrough(warps_[warp_id], now) + op.lat);
+    finishOp(warp_id, issueThrough(st_.warps[warp_id], now) + op.lat);
 }
 
 void
@@ -131,21 +132,21 @@ GpuMachine::execShfl(int warp_id, const DecodedGpuOp &op, Tick now)
     stats_.inc(sim::Probe::GpuShflUops,
                static_cast<std::uint64_t>(op.uops));
     finishOp(warp_id,
-             issueThrough(warps_[warp_id], now, op.uops) + op.lat);
+             issueThrough(st_.warps[warp_id], now, op.uops) + op.lat);
 }
 
 void
 GpuMachine::execVote(int warp_id, const DecodedGpuOp &op, Tick now)
 {
-    finishOp(warp_id, issueThrough(warps_[warp_id], now) + op.lat);
+    finishOp(warp_id, issueThrough(st_.warps[warp_id], now) + op.lat);
 }
 
 void
 GpuMachine::execReduceSync(int warp_id, const DecodedGpuOp &, Tick now)
 {
-    WarpCtx &warp = warps_[warp_id];
+    WarpCtx &warp = st_.warps[warp_id];
     const Tick issued = issueThrough(warp, now);
-    Tick &unit = reduce_free_[warp.sm];
+    Tick &unit = st_.reduce_free[warp.sm];
     const Tick start = std::max(issued, unit);
     unit = start + cfg_.reduce_occupancy;
     stats_.inc(sim::Probe::GpuReduceSync);
@@ -158,7 +159,7 @@ GpuMachine::execFenceBlock(int warp_id, const DecodedGpuOp &op, Tick now)
     // Block scope only orders within the SM; pending stores are
     // already visible there, so the cost is tiny.
     stats_.inc(sim::Probe::GpuFence);
-    finishOp(warp_id, issueThrough(warps_[warp_id], now) + op.lat);
+    finishOp(warp_id, issueThrough(st_.warps[warp_id], now) + op.lat);
 }
 
 void
@@ -167,9 +168,9 @@ GpuMachine::execFenceDevice(int warp_id, const DecodedGpuOp &op,
 {
     // Draining the store path occupies the SM's LSU, so the cost is
     // not hidden behind other warps' traffic.
-    WarpCtx &warp = warps_[warp_id];
+    WarpCtx &warp = st_.warps[warp_id];
     const Tick issued = issueThrough(warp, now);
-    Tick &lsu = lsu_free_[warp.sm];
+    Tick &lsu = st_.lsu_free[warp.sm];
     lsu = std::max(lsu, issued) + cfg_.fence_lsu_drain;
     stats_.inc(sim::Probe::GpuFence);
     const Tick drained = std::max({issued, warp.last_store_commit, lsu});
@@ -181,9 +182,9 @@ void
 GpuMachine::execFenceSystem(int warp_id, const DecodedGpuOp &op,
                             Tick now)
 {
-    WarpCtx &warp = warps_[warp_id];
+    WarpCtx &warp = st_.warps[warp_id];
     const Tick issued = issueThrough(warp, now);
-    Tick &lsu = lsu_free_[warp.sm];
+    Tick &lsu = st_.lsu_free[warp.sm];
     lsu = std::max(lsu, issued) + cfg_.fence_lsu_drain;
     stats_.inc(sim::Probe::GpuFence);
     const Tick drained = std::max({issued, warp.last_store_commit, lsu});
@@ -197,7 +198,7 @@ GpuMachine::execFenceSystem(int warp_id, const DecodedGpuOp &op,
 void
 GpuMachine::execGlobalLoad(int warp_id, const DecodedGpuOp &op, Tick now)
 {
-    WarpCtx &warp = warps_[warp_id];
+    WarpCtx &warp = st_.warps[warp_id];
     const Tick issued = issueThrough(warp, now);
     const int active = activeLanes(warp, op);
     if (active == 0) {
@@ -208,13 +209,13 @@ GpuMachine::execGlobalLoad(int warp_id, const DecodedGpuOp &op, Tick now)
         static_cast<std::uint64_t>(active) * op.esize * op.stride;
     const auto sectors = (bytes + 31) / 32;
 
-    Tick &lsu = lsu_free_[warp.sm];
+    Tick &lsu = st_.lsu_free[warp.sm];
     const Tick post_start = std::max(issued, lsu);
     const Tick post_done = post_start + sectors * cfg_.lsu_ii;
     lsu = post_done;
 
-    const Tick bw_start = std::max(post_done, mem_bw_free_);
-    mem_bw_free_ = bw_start + static_cast<Tick>(
+    const Tick bw_start = std::max(post_done, st_.mem_bw_free);
+    st_.mem_bw_free = bw_start + static_cast<Tick>(
         static_cast<double>(bytes) / cfg_.mem_bytes_per_cycle + 1.0);
     stats_.inc(sim::Probe::GpuLoadSectors, sectors);
     finishOp(warp_id, bw_start + cfg_.mem_rt);
@@ -226,7 +227,7 @@ GpuMachine::execGlobalStore(int warp_id, const DecodedGpuOp &op,
 {
     // Stores retire into the LSU/store path; the warp does not wait
     // for memory (no data dependency).
-    WarpCtx &warp = warps_[warp_id];
+    WarpCtx &warp = st_.warps[warp_id];
     const Tick issued = issueThrough(warp, now);
     const int active = activeLanes(warp, op);
     if (active == 0) {
@@ -236,11 +237,11 @@ GpuMachine::execGlobalStore(int warp_id, const DecodedGpuOp &op,
     const auto bytes =
         static_cast<std::uint64_t>(active) * op.esize * op.stride;
     const auto sectors = (bytes + 31) / 32;
-    Tick &lsu = lsu_free_[warp.sm];
+    Tick &lsu = st_.lsu_free[warp.sm];
     const Tick post_start = std::max(issued, lsu);
     lsu = post_start + sectors * cfg_.lsu_ii;
-    const Tick bw_start = std::max(lsu, mem_bw_free_);
-    mem_bw_free_ = bw_start + static_cast<Tick>(
+    const Tick bw_start = std::max(lsu, st_.mem_bw_free);
+    st_.mem_bw_free = bw_start + static_cast<Tick>(
         static_cast<double>(bytes) / cfg_.mem_bytes_per_cycle + 1.0);
     // Commit (device-wide visibility at the L2) happens a fixed half
     // round trip after posting; a device fence must wait for it
@@ -256,7 +257,7 @@ void
 GpuMachine::execAtomicSameAddr(int warp_id, const DecodedGpuOp &op,
                                Tick now)
 {
-    WarpCtx &warp = warps_[warp_id];
+    WarpCtx &warp = st_.warps[warp_id];
     const Tick issued = issueThrough(warp, now);
     const int active = activeLanes(warp, op);
     if (active == 0) {
@@ -264,9 +265,9 @@ GpuMachine::execAtomicSameAddr(int warp_id, const DecodedGpuOp &op,
         return;
     }
 
-    Tick &lsu = lsu_free_[warp.sm];
+    Tick &lsu = st_.lsu_free[warp.sm];
     const std::uint64_t line = resolveAddr(warp, op, 0) >> sector_shift;
-    GateSlots &gate = sm_line_gate_[smLineKey(warp.sm, line)];
+    GateSlots &gate = st_.sm_line_gate[smLineKey(warp.sm, line)];
 
     // Reduction-style op on one address: the JIT aggregates the
     // warp's lanes into a single request (Fig 9). The SM keeps
@@ -288,7 +289,7 @@ GpuMachine::execAtomicSameAddr(int warp_id, const DecodedGpuOp &op,
     const Tick post_done =
         post_start + static_cast<Tick>(requests) * cfg_.lsu_ii;
     lsu = post_done;
-    Tick &lf = line_free_[line];
+    Tick &lf = st_.line_free[line];
     const Tick svc_start = std::max(post_done, lf);
     const Tick svc_done =
         svc_start + static_cast<Tick>(requests) * op.addr_ii;
@@ -315,7 +316,7 @@ GpuMachine::execAtomicCasLike(int warp_id, const DecodedGpuOp &op,
     // CAS / exchange: never aggregated, one outstanding per SM;
     // lanes pipeline in small groups and the warp waits for its last
     // lane's round trip (Fig 11, 13).
-    WarpCtx &warp = warps_[warp_id];
+    WarpCtx &warp = st_.warps[warp_id];
     const Tick issued = issueThrough(warp, now);
     const int active = activeLanes(warp, op);
     if (active == 0) {
@@ -323,9 +324,9 @@ GpuMachine::execAtomicCasLike(int warp_id, const DecodedGpuOp &op,
         return;
     }
 
-    Tick &lsu = lsu_free_[warp.sm];
+    Tick &lsu = st_.lsu_free[warp.sm];
     const std::uint64_t line = resolveAddr(warp, op, 0) >> sector_shift;
-    GateSlots &gate = sm_line_gate_[smLineKey(warp.sm, line)];
+    GateSlots &gate = st_.sm_line_gate[smLineKey(warp.sm, line)];
 
     stats_.inc(sim::Probe::GpuAtomicCasLike);
     // Every lane past the winner re-queues through the serialized
@@ -340,7 +341,7 @@ GpuMachine::execAtomicCasLike(int warp_id, const DecodedGpuOp &op,
     const Tick post_done =
         post_start + static_cast<Tick>(active) * cfg_.lsu_ii;
     lsu = post_done;
-    Tick &lf = line_free_[line];
+    Tick &lf = st_.line_free[line];
     const Tick svc_start = std::max(post_done, lf);
     const Tick svc_done =
         svc_start + static_cast<Tick>(groups) * cfg_.cas_group_ii;
@@ -358,7 +359,7 @@ GpuMachine::execAtomicPerThread(int warp_id, const DecodedGpuOp &op,
 {
     // Per-thread addresses: one request per lane, hashed across the
     // L2 atomic units (Fig 10, 12).
-    WarpCtx &warp = warps_[warp_id];
+    WarpCtx &warp = st_.warps[warp_id];
     const Tick issued = issueThrough(warp, now);
     const int active = activeLanes(warp, op);
     if (active == 0) {
@@ -368,7 +369,7 @@ GpuMachine::execAtomicPerThread(int warp_id, const DecodedGpuOp &op,
 
     stats_.inc(sim::Probe::GpuAtomicPerThread,
                static_cast<std::uint64_t>(active));
-    Tick &lsu = lsu_free_[warp.sm];
+    Tick &lsu = st_.lsu_free[warp.sm];
     const Tick post_start = std::max(issued, lsu);
     const Tick post_done =
         post_start + static_cast<Tick>(active) * cfg_.lsu_ii;
@@ -400,7 +401,7 @@ GpuMachine::execAtomicPerThread(int warp_id, const DecodedGpuOp &op,
     Tick last_svc = post_done;
     for (int i = 0; i < nlines; ++i) {
         Tick &unit =
-            unit_free_[line_key[i] % static_cast<std::uint64_t>(
+            st_.unit_free[line_key[i] % static_cast<std::uint64_t>(
                                          cfg_.l2_atomic_units)];
         const Tick svc_start = std::max(post_done, unit);
         const Tick svc_done =
@@ -422,7 +423,7 @@ void
 GpuMachine::execSharedAtomic(int warp_id, const DecodedGpuOp &op,
                              Tick now)
 {
-    WarpCtx &warp = warps_[warp_id];
+    WarpCtx &warp = st_.warps[warp_id];
     const Tick issued = issueThrough(warp, now);
     const int active = activeLanes(warp, op);
     if (active == 0) {
@@ -430,7 +431,7 @@ GpuMachine::execSharedAtomic(int warp_id, const DecodedGpuOp &op,
         return;
     }
 
-    Tick &unit = smem_free_[warp.sm];
+    Tick &unit = st_.smem_free[warp.sm];
     const Tick svc_start = std::max(issued, unit);
     const Tick svc_done =
         svc_start + static_cast<Tick>(active) * cfg_.smem_addr_ii;
@@ -451,48 +452,38 @@ GpuMachine::execSharedAtomic(int warp_id, const DecodedGpuOp &op,
 void
 GpuMachine::execSyncThreads(int warp_id, const DecodedGpuOp &, Tick now)
 {
-    arriveSyncThreads(warp_id, issueThrough(warps_[warp_id], now));
+    arriveSyncThreads(warp_id, issueThrough(st_.warps[warp_id], now));
 }
 
 void
 GpuMachine::execGridSync(int warp_id, const DecodedGpuOp &, Tick now)
 {
-    arriveGridSync(warp_id, issueThrough(warps_[warp_id], now));
+    arriveGridSync(warp_id, issueThrough(st_.warps[warp_id], now));
 }
 
 void
 GpuMachine::arriveSyncThreads(int warp_id, Tick when)
 {
-    WarpCtx &warp = warps_[warp_id];
-    BlockState &block = blocks_[warp.block];
-    if (block.arrived == 0)
-        block.first_arrival = when;
-    else
-        block.first_arrival = std::min(block.first_arrival, when);
-    ++block.arrived;
-    block.last_arrival = std::max(block.last_arrival, when);
-    block.waiters.push_back(warp_id);
-    if (block.arrived < block.warps)
+    WarpCtx &warp = st_.warps[warp_id];
+    BlockState &block = st_.blocks[warp.block];
+    block.sync.arrive(warp_id, when);
+    if (block.sync.count() < block.warps)
         return;
 
     // Hardware barrier: arrival/release processing is per warp.
     const Tick release =
-        block.last_arrival + cfg_.syncthreads_base +
+        block.sync.last + cfg_.syncthreads_base +
         static_cast<Tick>(block.warps) * cfg_.syncthreads_per_warp;
     stats_.inc(sim::Probe::GpuSyncthreads);
     stats_.record(sim::HistProbe::GpuBarrierSpreadTicks,
-                  block.last_arrival - block.first_arrival);
+                  block.sync.last - block.sync.first);
 
-    std::vector<int> waiters = std::move(block.waiters);
-    block.waiters.clear();
-    block.arrived = 0;
-    block.first_arrival = 0;
-    block.last_arrival = 0;
+    const auto waiters = std::exchange(block.sync, {}).waiters;
 
     for (int w : waiters) {
-        warps_[w].resume = true;
+        st_.warps[w].resume = true;
         eq_.schedule(release, [this, w] {
-            warps_[w].resume = false;
+            st_.warps[w].resume = false;
             finishOp(w, eq_.now());
         }, w);
     }
@@ -501,210 +492,39 @@ GpuMachine::arriveSyncThreads(int warp_id, Tick when)
 void
 GpuMachine::arriveGridSync(int warp_id, Tick when)
 {
-    WarpCtx &warp = warps_[warp_id];
-    if (!pending_blocks_.empty()) {
+    WarpCtx &warp = st_.warps[warp_id];
+    if (!st_.pending_blocks.empty()) {
         fatal("grid-wide sync in block {} would deadlock: {} blocks are "
               "not resident (use a cooperative launch that fits the "
-              "device)", warp.block, pending_blocks_.size());
+              "device)", warp.block, st_.pending_blocks.size());
     }
-    if (grid_arrivals_ == 0)
-        grid_first_arrival_ = when;
-    else
-        grid_first_arrival_ = std::min(grid_first_arrival_, when);
-    ++grid_arrivals_;
-    grid_last_arrival_ = std::max(grid_last_arrival_, when);
-    grid_waiters_.push_back(warp_id);
-
-    int total_warps = 0;
-    for (const auto &block : blocks_)
-        total_warps += block.warps;
-    if (grid_arrivals_ < total_warps)
+    st_.grid.arrive(warp_id, when);
+    if (st_.grid.count() < static_cast<int>(st_.warps.size()))
         return;
 
     // Arrival counting happens through L2 atomics, serialized per
     // block; release is a device-wide broadcast.
     const Tick release =
-        grid_last_arrival_ + cfg_.grid_sync_base +
-        static_cast<Tick>(blocks_.size()) * cfg_.grid_sync_per_block;
+        st_.grid.last + cfg_.grid_sync_base +
+        static_cast<Tick>(st_.blocks.size()) * cfg_.grid_sync_per_block;
     stats_.inc(sim::Probe::GpuGridSync);
     stats_.record(sim::HistProbe::GpuBarrierSpreadTicks,
-                  grid_last_arrival_ - grid_first_arrival_);
+                  st_.grid.last - st_.grid.first);
 
-    std::vector<int> waiters = std::move(grid_waiters_);
-    grid_waiters_.clear();
-    grid_arrivals_ = 0;
-    grid_first_arrival_ = 0;
-    grid_last_arrival_ = 0;
+    const auto waiters = std::exchange(st_.grid, {}).waiters;
     for (int w : waiters) {
-        warps_[w].resume = true;
+        st_.warps[w].resume = true;
         eq_.schedule(release, [this, w] {
-            warps_[w].resume = false;
+            st_.warps[w].resume = false;
             finishOp(w, eq_.now());
         }, w);
     }
 }
 
 void
-GpuMachine::encodeState(Tick base, std::vector<std::uint64_t> &out) const
-{
-    // Liveness floor: a max-register at or below both the boundary
-    // and every pending event can never win another max() against a
-    // future time, so it is canonicalized to one dead value; anything
-    // above the floor is encoded as its exact offset from the
-    // boundary. Rendezvous stamps of a partially arrived barrier are
-    // live in both directions (first feeds a min, last can still win
-    // its max when issue contention reorders arrival ticks).
-    Tick floor = eq_.earliestPending();
-    if (base < floor)
-        floor = base;
-    const auto off = [base](Tick v) {
-        return static_cast<std::uint64_t>(v - base);
-    };
-    constexpr std::uint64_t dead = std::uint64_t{1} << 63;
-    const auto maxreg = [&](Tick v) {
-        return v > floor ? off(v) : dead;
-    };
-
-    // Warp-local stamps (last_store_commit, own_atomic_gate) are
-    // only ever read by the owning warp's later ops, whose issue
-    // times are at least the warp's own next scheduled event: that
-    // tick is a far tighter liveness floor than the global one, and
-    // without it a store-heavy warp's commit stamp flickers between
-    // dead and live across boundaries, spoiling every fingerprint.
-    lb_warp_floor_.resize(warps_.size());
-    eq_.earliestPendingPerPriority(lb_warp_floor_);
-
-    out.clear();
-    out.push_back(rng_.state());
-    for (std::size_t i = 0; i < warps_.size(); ++i) {
-        const WarpCtx &w = warps_[i];
-        const Tick wfloor = lb_warp_floor_[i] == sim::EventQueue::no_tick
-                                ? floor
-                                : std::max(floor, lb_warp_floor_[i]);
-        const auto wmaxreg = [&](Tick v) {
-            return v > wfloor ? off(v) : dead;
-        };
-        out.push_back(static_cast<std::uint64_t>(w.pc) << 32 |
-                      static_cast<std::uint64_t>(w.phase) << 4 |
-                      static_cast<std::uint64_t>(w.done) << 1 |
-                      static_cast<std::uint64_t>(w.resume));
-        out.push_back(static_cast<std::uint64_t>(w.rep_left));
-        out.push_back(static_cast<std::uint64_t>(w.sm + 1) << 8 |
-                      static_cast<std::uint64_t>(w.sched));
-        out.push_back(wmaxreg(w.last_store_commit));
-        out.push_back(wmaxreg(w.own_atomic_gate));
-    }
-    for (const BlockState &b : blocks_) {
-        out.push_back(static_cast<std::uint64_t>(b.sm + 1) << 32 |
-                      static_cast<std::uint64_t>(b.done_warps) << 16 |
-                      static_cast<std::uint64_t>(b.arrived));
-        out.push_back(b.arrived ? off(b.first_arrival) : 0);
-        out.push_back(b.arrived ? off(b.last_arrival) : 0);
-        out.push_back(b.waiters.size());
-        for (int w : b.waiters)
-            out.push_back(static_cast<std::uint64_t>(w));
-    }
-    out.push_back(pending_blocks_.size());
-    for (int b : pending_blocks_)
-        out.push_back(static_cast<std::uint64_t>(b));
-    for (int v : sm_free_threads_)
-        out.push_back(static_cast<std::uint64_t>(v));
-    for (int v : sm_blocks_)
-        out.push_back(static_cast<std::uint64_t>(v));
-    for (int v : sm_next_sched_)
-        out.push_back(static_cast<std::uint64_t>(v));
-    for (Tick v : sched_free_)
-        out.push_back(maxreg(v));
-    for (Tick v : lsu_free_)
-        out.push_back(maxreg(v));
-    for (Tick v : smem_free_)
-        out.push_back(maxreg(v));
-    for (Tick v : reduce_free_)
-        out.push_back(maxreg(v));
-    for (Tick v : unit_free_)
-        out.push_back(maxreg(v));
-    // The DRAM queue tail is fire-and-forget: stores push it forward
-    // without waiting, so under a store-heavy body it runs ahead of
-    // the clock without bound and would spoil every boundary
-    // fingerprint. Its value only ever reaches a run result through
-    // a global load (the one reader); when the launched program
-    // contains none, the register is outcome-dead for the rest of
-    // the run and canonicalizes like any dead max-register.
-    out.push_back(lb_mem_bw_live_ ? maxreg(mem_bw_free_) : dead);
-
-    // Hash maps in key order: iteration order is not part of the
-    // machine state.
-    lb_map_scratch_.clear();
-    for (const auto &[key, when] : line_free_)
-        lb_map_scratch_.push_back(key);
-    std::sort(lb_map_scratch_.begin(), lb_map_scratch_.end());
-    out.push_back(lb_map_scratch_.size());
-    for (std::uint64_t key : lb_map_scratch_) {
-        out.push_back(key);
-        out.push_back(maxreg(line_free_.find(key)->second));
-    }
-    lb_map_scratch_.clear();
-    for (const auto &[key, gate] : sm_line_gate_)
-        lb_map_scratch_.push_back(key);
-    std::sort(lb_map_scratch_.begin(), lb_map_scratch_.end());
-    out.push_back(lb_map_scratch_.size());
-    for (std::uint64_t key : lb_map_scratch_) {
-        const GateSlots &gate = sm_line_gate_.find(key)->second;
-        out.push_back(key);
-        out.push_back(maxreg(gate.newest));
-        out.push_back(maxreg(gate.oldest));
-    }
-
-    out.push_back(static_cast<std::uint64_t>(grid_arrivals_));
-    out.push_back(grid_arrivals_ ? off(grid_first_arrival_) : 0);
-    out.push_back(grid_arrivals_ ? off(grid_last_arrival_) : 0);
-    for (int w : grid_waiters_)
-        out.push_back(static_cast<std::uint64_t>(w));
-    eq_.encodePending(base, out);
-}
-
-void
-GpuMachine::shiftTimes(Tick delta)
-{
-    for (WarpCtx &w : warps_) {
-        w.last_store_commit += delta;
-        w.own_atomic_gate += delta;
-    }
-    for (BlockState &b : blocks_) {
-        if (b.arrived > 0) {
-            b.first_arrival += delta;
-            b.last_arrival += delta;
-        }
-    }
-    for (Tick &v : sched_free_)
-        v += delta;
-    for (Tick &v : lsu_free_)
-        v += delta;
-    for (Tick &v : smem_free_)
-        v += delta;
-    for (Tick &v : reduce_free_)
-        v += delta;
-    for (Tick &v : unit_free_)
-        v += delta;
-    mem_bw_free_ += delta;
-    for (auto &[key, when] : line_free_)
-        when += delta;
-    for (auto &[key, gate] : sm_line_gate_) {
-        gate.newest += delta;
-        gate.oldest += delta;
-    }
-    if (grid_arrivals_ > 0) {
-        grid_first_arrival_ += delta;
-        grid_last_arrival_ += delta;
-    }
-    // warp.start/warp.end are frozen clock64() outputs shared with
-    // the unbatched run; the rng did not advance.
-}
-
-void
 GpuMachine::step(int warp_id)
 {
-    WarpCtx &warp = warps_[warp_id];
+    WarpCtx &warp = st_.warps[warp_id];
     SYNCPERF_ASSERT(!warp.done);
     const Tick now = eq_.now();
 
@@ -724,7 +544,7 @@ GpuMachine::step(int warp_id)
 void
 GpuMachine::finishOp(int warp_id, Tick done)
 {
-    WarpCtx &warp = warps_[warp_id];
+    WarpCtx &warp = st_.warps[warp_id];
     if (--warp.rep_left > 0) {
         eq_.schedule(done, [this, warp_id] { step(warp_id); }, warp_id);
         return;
@@ -752,19 +572,19 @@ GpuMachine::finishOp(int warp_id, Tick done)
 void
 GpuMachine::advancePhase(int warp_id, Tick done)
 {
-    WarpCtx &warp = warps_[warp_id];
+    WarpCtx &warp = st_.warps[warp_id];
     switch (warp.phase) {
       case Phase::Prologue:
         if (warmup_iterations_ > 0 && !kernel_->body.empty()) {
             warp.phase = Phase::Warmup;
-            warp.code = &dec_body_;
+            warp.code = &image_->body;
             warp.iters_left = warmup_iterations_;
             eq_.schedule(done, [this, warp_id] { step(warp_id); },
                          warp_id);
             return;
         }
         warp.phase = Phase::Timed;
-        warp.code = &dec_body_;
+        warp.code = &image_->body;
         warp.start = done;
         warp.iters_left = kernel_->body.empty() ? 0 : kernel_->body_iters;
         if (warp.iters_left == 0) {
@@ -780,26 +600,21 @@ GpuMachine::advancePhase(int warp_id, Tick done)
         warp.iters_left = kernel_->body_iters;
         // The alignment __syncthreads() reuses the block barrier; the
         // start stamp is taken at its release.
-        BlockState &block = blocks_[warp.block];
-        ++block.arrived;
-        block.last_arrival = std::max(block.last_arrival, done);
-        block.waiters.push_back(warp_id);
-        if (block.arrived < block.warps)
+        BlockState &block = st_.blocks[warp.block];
+        block.sync.arrive(warp_id, done);
+        if (block.sync.count() < block.warps)
             return;
         const Tick release =
-            block.last_arrival + cfg_.syncthreads_base +
+            block.sync.last + cfg_.syncthreads_base +
             static_cast<Tick>(block.warps) * cfg_.syncthreads_per_warp;
-        std::vector<int> waiters = std::move(block.waiters);
-        block.waiters.clear();
-        block.arrived = 0;
-        block.last_arrival = 0;
+        const auto waiters = std::exchange(block.sync, {}).waiters;
         // The captured absolute tick is safe under loop batching:
         // this one-shot event's boundary-relative offset shrinks
         // between any two trigger boundaries, so it can never be
         // part of equal fingerprints and is never shifted.
         for (int w : waiters) {
             eq_.schedule(release, [this, w, release] {
-                warps_[w].start = release;
+                st_.warps[w].start = release;
                 step(w);
             }, w);
         }
@@ -809,7 +624,7 @@ GpuMachine::advancePhase(int warp_id, Tick done)
       case Phase::Timed:
         warp.end = done;
         warp.phase = Phase::Epilogue;
-        warp.code = &dec_epilogue_;
+        warp.code = &image_->epilogue;
         if (kernel_->epilogue.empty()) {
             warpDone(warp_id, done);
             return;
@@ -826,18 +641,18 @@ GpuMachine::advancePhase(int warp_id, Tick done)
 void
 GpuMachine::warpDone(int warp_id, Tick done)
 {
-    WarpCtx &warp = warps_[warp_id];
+    WarpCtx &warp = st_.warps[warp_id];
     warp.done = true;
     if (warp.end == 0)
         warp.end = done;
 
-    BlockState &block = blocks_[warp.block];
+    BlockState &block = st_.blocks[warp.block];
     if (++block.done_warps < block.warps)
         return;
 
     // Block retired: release its SM slot and launch a pending block.
-    sm_free_threads_[block.sm] += block.threads;
-    --sm_blocks_[block.sm];
+    st_.sm_free_threads[block.sm] += block.threads;
+    --st_.sm_blocks[block.sm];
     stats_.inc(sim::Probe::GpuBlocksRetired);
     tryLaunchBlocks(done);
 }
@@ -845,22 +660,22 @@ GpuMachine::warpDone(int warp_id, Tick done)
 void
 GpuMachine::tryLaunchBlocks(Tick when)
 {
-    while (!pending_blocks_.empty()) {
-        const int block_id = pending_blocks_.front();
-        const BlockState &pending = blocks_[block_id];
+    while (!st_.pending_blocks.empty()) {
+        const int block_id = st_.pending_blocks.front();
+        const BlockState &pending = st_.blocks[block_id];
         int best_sm = -1;
         for (int sm = 0; sm < cfg_.sm_count; ++sm) {
-            if (sm_free_threads_[sm] >= pending.threads &&
-                sm_blocks_[sm] < cfg_.max_blocks_per_sm) {
+            if (st_.sm_free_threads[sm] >= pending.threads &&
+                st_.sm_blocks[sm] < cfg_.max_blocks_per_sm) {
                 if (best_sm < 0 ||
-                    sm_free_threads_[sm] > sm_free_threads_[best_sm]) {
+                    st_.sm_free_threads[sm] > st_.sm_free_threads[best_sm]) {
                     best_sm = sm;
                 }
             }
         }
         if (best_sm < 0)
             return;
-        pending_blocks_.pop_front();
+        st_.pending_blocks.pop_front();
         launchBlock(block_id, best_sm, when);
     }
 }
@@ -868,19 +683,19 @@ GpuMachine::tryLaunchBlocks(Tick when)
 void
 GpuMachine::launchBlock(int block_id, int sm, Tick when)
 {
-    BlockState &block = blocks_[block_id];
+    BlockState &block = st_.blocks[block_id];
     block.sm = sm;
-    sm_free_threads_[sm] -= block.threads;
-    ++sm_blocks_[sm];
+    st_.sm_free_threads[sm] -= block.threads;
+    ++st_.sm_blocks[sm];
 
     const Tick start = when + cfg_.block_launch_overhead;
     for (int w = 0; w < block.warps; ++w) {
         const int warp_id = block.first_warp + w;
-        WarpCtx &warp = warps_[warp_id];
+        WarpCtx &warp = st_.warps[warp_id];
         warp.sm = sm;
-        warp.sched = sm_next_sched_[sm];
-        sm_next_sched_[sm] =
-            (sm_next_sched_[sm] + 1) % cfg_.schedulers_per_sm;
+        warp.sched = st_.sm_next_sched[sm];
+        st_.sm_next_sched[sm] =
+            (st_.sm_next_sched[sm] + 1) % cfg_.schedulers_per_sm;
         eq_.schedule(start, [this, warp_id] { step(warp_id); }, warp_id);
     }
     stats_.inc(sim::Probe::GpuBlocksLaunched);
@@ -997,32 +812,23 @@ GpuMachine::run(const GpuKernel &kernel, LaunchConfig launch,
                     launch.threads_per_block <= cfg_.max_threads_per_block);
     SYNCPERF_ASSERT(kernel.body_iters >= 1 || kernel.body.empty());
 
-    const DecodedImage *image = nullptr;
-    if (decode_key != 0) {
-        const auto it = images_.find(decode_key);
-        SYNCPERF_ASSERT(it != images_.end(),
-                        "run() with an unmaterialized decode key");
-        image = it->second.get();
-    }
-
     kernel_ = &kernel;
-    launch_ = launch;
     warmup_iterations_ = warmup_iterations;
 
     eq_.reset();
     stats_.clear();
-    if (image != nullptr) {
-        // Fast path: restore the decoded sequences by POD assignment.
-        // The image was produced by the same decodeOp over the same
-        // kernel, so the assigned contents are identical to what the
-        // decode below would rebuild.
-        dec_prologue_ = image->prologue;
-        dec_body_ = image->body;
-        dec_epilogue_ = image->epilogue;
+    sim::resetState(st_);
+    // A cached image skips decoding; key 0 decodes into the machine's
+    // own scratch image. Either way the warps execute the image's
+    // sequences in place.
+    image_ = &st_.cold;
+    if (decode_key != 0) {
+        const auto it = images_.find(decode_key);
+        SYNCPERF_ASSERT(it != images_.end(),
+                        "run() with an unmaterialized decode key");
+        image_ = it->second.get();
     } else {
-        decodeSequence(kernel.prologue, dec_prologue_);
-        decodeSequence(kernel.body, dec_body_);
-        decodeSequence(kernel.epilogue, dec_epilogue_);
+        decodeImageInto(kernel, st_.cold);
     }
     const auto has_load = [](const std::vector<DecodedGpuOp> &code) {
         for (const DecodedGpuOp &op : code)
@@ -1030,54 +836,43 @@ GpuMachine::run(const GpuKernel &kernel, LaunchConfig launch,
                 return true;
         return false;
     };
-    lb_mem_bw_live_ = has_load(dec_prologue_) || has_load(dec_body_) ||
-                      has_load(dec_epilogue_);
-    warps_.clear();
-    blocks_.assign(launch.blocks, BlockState{});
-    pending_blocks_.clear();
-    sm_free_threads_.assign(cfg_.sm_count, cfg_.max_threads_per_sm);
-    sm_blocks_.assign(cfg_.sm_count, 0);
-    sm_next_sched_.assign(cfg_.sm_count, 0);
-    sched_free_.assign(
+    st_.mem_bw_live = has_load(image_->prologue) ||
+                      has_load(image_->body) || has_load(image_->epilogue);
+    st_.blocks.assign(launch.blocks, BlockState{});
+    st_.sm_free_threads.assign(cfg_.sm_count, cfg_.max_threads_per_sm);
+    st_.sm_blocks.assign(cfg_.sm_count, 0);
+    st_.sm_next_sched.assign(cfg_.sm_count, 0);
+    st_.sched_free.assign(
         static_cast<std::size_t>(cfg_.sm_count) * cfg_.schedulers_per_sm,
         0);
-    lsu_free_.assign(cfg_.sm_count, 0);
-    smem_free_.assign(cfg_.sm_count, 0);
-    reduce_free_.assign(cfg_.sm_count, 0);
-    unit_free_.assign(cfg_.l2_atomic_units, 0);
-    line_free_.clear();
-    sm_line_gate_.clear();
-    mem_bw_free_ = 0;
-    grid_arrivals_ = 0;
-    grid_first_arrival_ = 0;
-    grid_last_arrival_ = 0;
-    grid_waiters_.clear();
+    st_.lsu_free.assign(cfg_.sm_count, 0);
+    st_.smem_free.assign(cfg_.sm_count, 0);
+    st_.reduce_free.assign(cfg_.sm_count, 0);
+    st_.unit_free.assign(cfg_.l2_atomic_units, 0);
 
     const int warps_per_block = cfg_.warpsPerBlock(launch.threads_per_block);
     for (int b = 0; b < launch.blocks; ++b) {
-        BlockState &block = blocks_[b];
+        BlockState &block = st_.blocks[b];
         block.warps = warps_per_block;
         block.threads = launch.threads_per_block;
-        block.first_warp = static_cast<int>(warps_.size());
+        block.first_warp = static_cast<int>(st_.warps.size());
         for (int w = 0; w < warps_per_block; ++w) {
-            WarpCtx warp;
-            warp.block = b;
-            warp.warp_in_block = w;
-            warp.code = &dec_prologue_;
-            warp.first_tid = b * launch.threads_per_block +
-                             w * cfg_.warp_size;
-            warp.lanes = std::min(
-                cfg_.warp_size,
-                launch.threads_per_block - w * cfg_.warp_size);
-            warps_.push_back(warp);
+            const int lane0 = w * cfg_.warp_size;
+            st_.warps.push_back(
+                {.block = b,
+                 .warp_in_block = w,
+                 .lanes = std::min(cfg_.warp_size,
+                                   launch.threads_per_block - lane0),
+                 .first_tid = b * launch.threads_per_block + lane0,
+                 .code = &image_->prologue});
         }
-        pending_blocks_.push_back(b);
+        st_.pending_blocks.push_back(b);
     }
-    lb_.reset(static_cast<int>(warps_.size()),
+    lb_.reset(static_cast<int>(st_.warps.size()),
               kernel.body.empty()
                   ? 0
                   : static_cast<std::uint64_t>(kernel.body_iters) *
-                        warps_.size());
+                        st_.warps.size());
     tryLaunchBlocks(0);
 
     const Tick end = eq_.run();
@@ -1086,7 +881,7 @@ GpuMachine::run(const GpuKernel &kernel, LaunchConfig launch,
     result.total_cycles = end;
     result.thread_cycles.reserve(
         static_cast<std::size_t>(launch.blocks) * launch.threads_per_block);
-    for (const auto &warp : warps_) {
+    for (const auto &warp : st_.warps) {
         SYNCPERF_ASSERT(warp.done, "warp did not finish (deadlock?)");
         const Tick elapsed = warp.end >= warp.start
             ? warp.end - warp.start : 0;
@@ -1197,22 +992,7 @@ void
 GpuMachine::cloneFrom(const GpuMachine &tmpl)
 {
     eq_.reserve(tmpl.eq_.slotCapacity());
-    dec_prologue_.reserve(tmpl.dec_prologue_.capacity());
-    dec_body_.reserve(tmpl.dec_body_.capacity());
-    dec_epilogue_.reserve(tmpl.dec_epilogue_.capacity());
-    warps_.reserve(tmpl.warps_.capacity());
-    blocks_.reserve(tmpl.blocks_.capacity());
-    sm_free_threads_.reserve(tmpl.sm_free_threads_.capacity());
-    sm_blocks_.reserve(tmpl.sm_blocks_.capacity());
-    sm_next_sched_.reserve(tmpl.sm_next_sched_.capacity());
-    sched_free_.reserve(tmpl.sched_free_.capacity());
-    lsu_free_.reserve(tmpl.lsu_free_.capacity());
-    smem_free_.reserve(tmpl.smem_free_.capacity());
-    reduce_free_.reserve(tmpl.reduce_free_.capacity());
-    unit_free_.reserve(tmpl.unit_free_.capacity());
-    line_free_.reserve(tmpl.line_free_.size());
-    sm_line_gate_.reserve(tmpl.sm_line_gate_.size());
-    grid_waiters_.reserve(tmpl.grid_waiters_.capacity());
+    sim::reserveLike(st_, tmpl.st_);
     lb_.reserveLike(tmpl.lb_);
 }
 

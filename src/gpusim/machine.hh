@@ -31,8 +31,8 @@
  *
  * Decoded kernels can further be captured as immutable
  * DecodedImages keyed by the caller's config hash: run() with a key
- * restores the three sequences by POD assignment instead of
- * re-decoding (core/machine_pool orchestrates this).
+ * executes the image's sequences in place instead of re-decoding
+ * (core/machine_pool orchestrates this).
  */
 
 #ifndef SYNCPERF_GPUSIM_MACHINE_HH
@@ -139,11 +139,10 @@ class GpuMachine : private sim::LoopBatcher::Host
      *        (reductions); the timed region then starts right after
      *        the prologue without an extra sync.
      * @param decode_key Non-zero selects a previously materialized
-     *        DecodedImage (hasImage(decode_key) must hold): the three
-     *        decoded sequences are restored by assignment and the
-     *        decode step is skipped entirely. Zero (the default)
-     *        decodes @p kernel as before. Results are bit-identical
-     *        either way.
+     *        DecodedImage (hasImage(decode_key) must hold): the warps
+     *        execute its sequences in place and the decode step is
+     *        skipped entirely. Zero (the default) decodes @p kernel
+     *        first. Results are bit-identical either way.
      */
     GpuRunResult run(const GpuKernel &kernel, LaunchConfig launch,
                      int warmup_iterations = 2,
@@ -220,7 +219,7 @@ class GpuMachine : private sim::LoopBatcher::Host
     sim::EventQueue &eventQueue() { return eq_; }
 
   private:
-    enum class Phase
+    enum class Phase : std::uint8_t
     {
         Prologue,
         Warmup,
@@ -228,6 +227,7 @@ class GpuMachine : private sim::LoopBatcher::Host
         Epilogue,
     };
 
+    /** One warp's execution cursor. */
     struct WarpCtx
     {
         int block = 0;          ///< global block id
@@ -259,6 +259,24 @@ class GpuMachine : private sim::LoopBatcher::Host
         /** A warp keeps one aggregated same-address atomic in
          * flight; the next waits for this round-trip point. */
         Tick own_atomic_gate = 0;
+
+        template <class S, class V>
+        static void visit(S &w, V &&v)
+        {
+            auto &[block, warp_in_block, sm, sched, lanes, first_tid,
+                   phase, code, pc, rep_left, iters_left, start, end,
+                   done, resume, last_store_commit, own_atomic_gate] = w;
+            // Geometry, the batcher's own counter and the frozen
+            // clock64() outputs.
+            v(sim::fixed, block, warp_in_block, lanes, first_tid, code,
+              iters_left, start, end);
+            v(sim::identity, pc, rep_left, sm, sched, phase, done, resume);
+            // Read only by this warp's later ops: dead below its own
+            // next event. Without that floor a store-heavy warp's
+            // commit stamp flickers between dead and live across
+            // boundaries, spoiling every fingerprint.
+            v(sim::actor_maxreg, last_store_commit, own_atomic_gate);
+        }
     };
 
     /** Pipelined outstanding-request window for per-SM atomic gating. */
@@ -266,6 +284,13 @@ class GpuMachine : private sim::LoopBatcher::Host
     {
         Tick newest = 0;
         Tick oldest = 0;
+
+        template <class S, class V>
+        static void visit(S &g, V &&v)
+        {
+            auto &[newest, oldest] = g;
+            v(sim::maxreg, newest, oldest);
+        }
     };
 
     struct BlockState
@@ -273,13 +298,74 @@ class GpuMachine : private sim::LoopBatcher::Host
         int sm = -1;
         int warps = 0;
         int threads = 0;
-        int first_warp = 0;     ///< index into warps_
+        int first_warp = 0;     ///< index into State::warps
         int done_warps = 0;
-        // __syncthreads rendezvous
-        int arrived = 0;
-        Tick first_arrival = 0;
-        Tick last_arrival = 0;
-        std::vector<int> waiters;
+        sim::Arrivals sync;     ///< __syncthreads rendezvous
+
+        template <class S, class V>
+        static void visit(S &b, V &&v)
+        {
+            auto &[sm, warps, threads, first_warp, done_warps, sync] = b;
+            v(sim::fixed, warps, threads, first_warp);
+            v(sim::identity, sm, done_warps);
+            v(sim::records, sync);
+        }
+    };
+
+    /** Everything one run() mutates: the state table whose visit
+     * drives the batcher's fingerprint and shift, the per-run reset
+     * and cloneFrom's reserves (sim/state_codec.hh). */
+    struct State
+    {
+        std::vector<WarpCtx> warps;
+        std::vector<BlockState> blocks;
+        std::deque<int> pending_blocks;
+        std::vector<int> sm_free_threads;
+        std::vector<int> sm_blocks;
+        std::vector<int> sm_next_sched;
+
+        // Resource reservations.
+        std::vector<Tick> sched_free;       ///< sm * schedulers + sched
+        std::vector<Tick> lsu_free;         ///< per SM
+        std::vector<Tick> smem_free;        ///< per SM
+        std::vector<Tick> reduce_free;      ///< per SM (__reduce_*_sync)
+        std::vector<Tick> unit_free;        ///< L2 atomic units
+        std::unordered_map<std::uint64_t, Tick> line_free;
+        std::unordered_map<std::uint64_t, GateSlots> sm_line_gate;
+        Tick mem_bw_free = 0;               ///< DRAM queue tail
+
+        /** Whether the launched program can read mem_bw_free (it
+         * holds a global load). */
+        bool mem_bw_live = false;
+
+        /** Grid-wide barrier rendezvous (cooperative launch). */
+        sim::Arrivals grid;
+
+        /** Key 0's decoded kernel (decode-time buffers). */
+        DecodedImage cold;
+
+        template <class S, class V>
+        static void visit(S &s, V &&v)
+        {
+            auto &[warps, blocks, pending_blocks, sm_free_threads,
+                   sm_blocks, sm_next_sched, sched_free, lsu_free,
+                   smem_free, reduce_free, unit_free, line_free,
+                   sm_line_gate, mem_bw_free, mem_bw_live, grid, cold] = s;
+            v(sim::actors, warps);
+            v(sim::records, blocks, sm_line_gate, grid);
+            v(sim::identity, pending_blocks, sm_free_threads, sm_blocks,
+              sm_next_sched);
+            v(sim::maxreg, sched_free, lsu_free, smem_free, reduce_free,
+              unit_free, line_free);
+            // The DRAM queue tail is fire-and-forget: stores push it
+            // forward without waiting, so under a store-heavy body it
+            // runs ahead of the clock without bound. Only a global
+            // load reads it; a program without one leaves it
+            // outcome-dead for the whole run.
+            v(sim::maxregLiveWhen(mem_bw_live), mem_bw_free);
+            v(sim::fixed, mem_bw_live);
+            v(sim::warm, cold);
+        }
     };
 
     /** Issue an instruction through the warp's scheduler. */
@@ -341,17 +427,20 @@ class GpuMachine : private sim::LoopBatcher::Host
                               const DecodedGpuOp &op, int lane) const;
 
     // --- Steady-state loop batching (sim::LoopBatcher::Host) ---
-    // The batcher decides when and how far to jump; the machine
-    // supplies its state encoding (per-warp liveness floors and the
-    // outcome-dead DRAM queue tail canonicalize) and the register
-    // shift.
+    // The batcher decides when and how far to jump; both halves the
+    // machine supplies are walks over its state table (State::visit).
 
-    void encodeState(Tick base,
-                     std::vector<std::uint64_t> &out) const override;
-    void shiftTimes(Tick delta) override;
+    void encodeState(sim::StateEncoder &enc) const override
+    {
+        State::visit(st_, enc);
+    }
+    void shiftTimes(Tick delta) override
+    {
+        State::visit(st_, sim::StateShifter(delta));
+    }
     long &itersLeft(int warp_id) override
     {
-        return warps_[warp_id].iters_left;
+        return st_.warps[warp_id].iters_left;
     }
 
     GpuConfig cfg_;
@@ -360,51 +449,17 @@ class GpuMachine : private sim::LoopBatcher::Host
     sim::StatSet stats_;
 
     const GpuKernel *kernel_ = nullptr;
-    LaunchConfig launch_;
+    const DecodedImage *image_ = nullptr;  ///< the run's decoded kernel
     int warmup_iterations_ = 0;
 
-    /** Decoded kernel sequences for the current run. */
-    std::vector<DecodedGpuOp> dec_prologue_;
-    std::vector<DecodedGpuOp> dec_body_;
-    std::vector<DecodedGpuOp> dec_epilogue_;
-
-    std::vector<WarpCtx> warps_;
-    std::vector<BlockState> blocks_;
-    std::deque<int> pending_blocks_;
-    std::vector<int> sm_free_threads_;
-    std::vector<int> sm_blocks_;
-    std::vector<int> sm_next_sched_;
-
-    // Resource reservations.
-    std::vector<Tick> sched_free_;       ///< sm * schedulers + sched
-    std::vector<Tick> lsu_free_;         ///< per SM
-    std::vector<Tick> smem_free_;        ///< per SM
-    std::vector<Tick> reduce_free_;      ///< per SM (__reduce_*_sync)
-    std::vector<Tick> unit_free_;        ///< L2 atomic units
-    std::unordered_map<std::uint64_t, Tick> line_free_;
-    std::unordered_map<std::uint64_t, GateSlots> sm_line_gate_;
-    Tick mem_bw_free_ = 0;
+    State st_;
 
     /** Installed decoded images, keyed by the caller's digest. */
     std::unordered_map<std::uint64_t, std::shared_ptr<const DecodedImage>>
         images_;
 
-    // Grid-wide barrier rendezvous (cooperative launch).
-    int grid_arrivals_ = 0;
-    Tick grid_first_arrival_ = 0;
-    Tick grid_last_arrival_ = 0;
-    std::vector<int> grid_waiters_;
-
     /** Steady-state loop batching; warps are its actors. */
     sim::LoopBatcher lb_{*this, eq_, stats_, rng_};
-    /** Whether the launched program can read mem_bw_free_ (it holds
-     * a global load): if not, the register is outcome-dead and the
-     * boundary fingerprint canonicalizes it (see encodeState). */
-    bool lb_mem_bw_live_ = true;
-    mutable std::vector<std::uint64_t> lb_map_scratch_;
-    /** Per-warp next-event ticks: liveness floors for warp-local
-     * stamps (scratch for encodeState). */
-    mutable std::vector<Tick> lb_warp_floor_;
 };
 
 } // namespace syncperf::gpusim

@@ -79,7 +79,10 @@ LoopBatcher::attempt(Tick done)
         return 0;
     }
 
-    host_.encodeState(done, fp_);
+    fp_.assign(1, rng_.state());
+    StateEncoder enc(eq_, done, fp_, enc_scratch_);
+    host_.encodeState(enc);
+    eq_.encodePending(done, fp_);
     const std::uint64_t hash = fpHash(fp_);
 
     // Newest-first: contended regimes rotate through their P
@@ -163,6 +166,9 @@ void
 LoopBatcher::reserveLike(const LoopBatcher &tmpl)
 {
     fp_.reserve(tmpl.fp_.capacity());
+    enc_scratch_.keys.reserve(tmpl.enc_scratch_.keys.capacity());
+    enc_scratch_.actor_next.reserve(
+        tmpl.enc_scratch_.actor_next.capacity());
     for (std::size_t i = 0; i < ring_.size(); ++i) {
         ring_[i].fp.reserve(tmpl.ring_[i].fp.capacity());
         ring_[i].iters.reserve(tmpl.ring_[i].iters.capacity());

@@ -7,9 +7,9 @@
  * (docs/performance.md, "Loop batching"). The policy -- which actor
  * drives the check, when to try, which earlier boundary closes a
  * cycle, and how far to jump -- lives here once. A machine supplies
- * only what is specific to it: the encoding of its dynamic state, the
- * shift of its absolute-time registers, and its actors' remaining
- * iteration counts (LoopBatcher::Host).
+ * only what is specific to it: its state table (walked by
+ * sim/state_codec.hh for the fingerprint and the time shift) and its
+ * actors' remaining iteration counts (LoopBatcher::Host).
  *
  * The counters describe how much of a run's timed work was covered
  * by jumps; the targets aggregate them into the campaign's
@@ -27,6 +27,7 @@
 
 #include "common/rng.hh"
 #include "sim/event_queue.hh"
+#include "sim/state_codec.hh"
 #include "sim/stat.hh"
 #include "sim/types.hh"
 
@@ -88,18 +89,18 @@ class LoopBatcher
     {
       public:
         /**
-         * Encode the complete dynamic machine state relative to the
-         * boundary tick @p base: live timing registers as exact
-         * offsets, provably dead ones canonicalized, the pending
-         * event set in execution order, and the rng state verbatim.
-         * Equal encodings at two boundaries must prove the dynamics
-         * periodic with the boundaries' tick distance as the period.
+         * Append the complete dynamic machine state to @p enc -- the
+         * machine's state table walked by the shared codec
+         * (sim/state_codec.hh). The batcher adds the rng word before
+         * it and the pending event set after it; equal encodings at
+         * two boundaries must prove the dynamics periodic with the
+         * boundaries' tick distance as the period.
          */
-        virtual void encodeState(Tick base,
-                                 std::vector<std::uint64_t> &out) const = 0;
+        virtual void encodeState(StateEncoder &enc) const = 0;
 
         /** Add @p delta to every live absolute-time register kept
-         * outside the event queue. */
+         * outside the event queue (the state table's StateShifter
+         * walk). */
         virtual void shiftTimes(Tick delta) = 0;
 
         /** Timed iterations left for @p actor, counting the one whose
@@ -246,6 +247,7 @@ class LoopBatcher
     int ring_head_ = 0;   ///< slot of the newest anchor
     int ring_n_ = 0;      ///< valid anchors (0 = disarmed)
     std::vector<std::uint64_t> fp_;  ///< scratch for the current fp
+    StateEncoder::Scratch enc_scratch_;
 
     LoopBatchCounters counters_;
 };

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/logging.hh"
@@ -15,6 +16,7 @@
 #include "cpusim/machine.hh"
 #include "gpusim/machine.hh"
 #include "sim/stat.hh"
+#include "../sim/same_stats.hh"
 
 namespace syncperf
 {
@@ -108,17 +110,6 @@ randomCpuPrograms(Pcg32 &rng, long max_iters)
     return programs;
 }
 
-/** Every counter and every histogram probe agree. */
-void
-expectSameStats(const sim::StatSet &a, const sim::StatSet &b)
-{
-    EXPECT_EQ(a.all(), b.all());
-    for (int i = 0; i < static_cast<int>(sim::HistProbe::Count); ++i) {
-        const auto p = static_cast<sim::HistProbe>(i);
-        EXPECT_TRUE(a.hist(p) == b.hist(p)) << sim::histProbeName(p);
-    }
-}
-
 class CpuFuzz : public ::testing::TestWithParam<int>
 {
 };
@@ -200,17 +191,20 @@ TEST(CpuDeadlock, BarrierInsideCriticalSectionIsDetected)
 
 // ---------------------------------------------------------------- GPU
 
-/** A random kernel body running 1..@p max_iters timed iterations. */
+/** A random kernel body running 1..@p max_iters timed iterations,
+ * drawn from every op @p cfg supports (__reduce_*_sync needs
+ * cc >= 8.0). */
 gpusim::GpuKernel
-randomGpuKernel(Pcg32 &rng, long max_iters)
+randomGpuKernel(Pcg32 &rng, long max_iters, const gpusim::GpuConfig &cfg)
 {
     using gpusim::AddressMode;
     using gpusim::AtomicOp;
+    using gpusim::FenceScope;
     using gpusim::GpuOp;
     gpusim::GpuKernel k;
     const int len = 1 + static_cast<int>(rng.below(5));
     for (int i = 0; i < len; ++i) {
-        switch (rng.below(10)) {
+        switch (rng.below(14)) {
           case 0: k.body.push_back(GpuOp::alu()); break;
           case 1: k.body.push_back(GpuOp::syncWarp()); break;
           case 2: k.body.push_back(GpuOp::syncThreads()); break;
@@ -239,10 +233,26 @@ randomGpuKernel(Pcg32 &rng, long max_iters)
           case 8:
             k.body.push_back(GpuOp::globalLoad(0x100000));
             break;
-          case 9:
-            k.body.push_back(GpuOp::fence(
-                rng.below(2) ? gpusim::FenceScope::Device
-                             : gpusim::FenceScope::Block));
+          case 9: {
+            constexpr FenceScope scopes[] = {
+                FenceScope::Block, FenceScope::Device, FenceScope::System};
+            k.body.push_back(GpuOp::fence(scopes[rng.below(3)]));
+            break;
+          }
+          case 10:
+            k.body.push_back(GpuOp::globalStore(
+                0x200000, all_data_types[rng.below(4)],
+                1 + static_cast<int>(rng.below(32))));
+            break;
+          case 11:
+            k.body.push_back(GpuOp::divergentAlu(
+                1 + static_cast<int>(rng.below(4))));
+            break;
+          case 12: k.body.push_back(GpuOp::gridSync()); break;
+          case 13:
+            k.body.push_back(cfg.compute_capability >= 8.0
+                                 ? GpuOp::reduceSync()
+                                 : GpuOp::alu());
             break;
         }
     }
@@ -252,12 +262,24 @@ randomGpuKernel(Pcg32 &rng, long max_iters)
     return k;
 }
 
-/** 1..8 blocks of 1..256 threads. */
+/** 1..@p max_blocks blocks of 1..@p max_threads threads. A kernel
+ * holding a grid sync gets a cooperative launch that stays resident:
+ * at most one 256-thread block per SM. */
 gpusim::LaunchConfig
-randomLaunch(Pcg32 &rng)
+randomLaunch(Pcg32 &rng, const gpusim::GpuKernel &k,
+             const gpusim::GpuConfig &cfg, int max_blocks,
+             int max_threads)
 {
-    const int blocks = 1 + static_cast<int>(rng.below(8));
-    return {blocks, static_cast<int>(1 + rng.below(256))};
+    for (const auto &op : k.body) {
+        if (op.kind == gpusim::GpuOpKind::GridSync) {
+            max_blocks = std::min(max_blocks, cfg.sm_count);
+            max_threads = std::min(max_threads, 256);
+        }
+    }
+    const int blocks = 1 + static_cast<int>(rng.below(
+                               static_cast<std::uint32_t>(max_blocks)));
+    return {blocks, 1 + static_cast<int>(rng.below(
+                            static_cast<std::uint32_t>(max_threads)))};
 }
 
 class GpuFuzz : public ::testing::TestWithParam<int>
@@ -267,11 +289,12 @@ class GpuFuzz : public ::testing::TestWithParam<int>
 TEST_P(GpuFuzz, RandomKernelsCompleteDeterministically)
 {
     Pcg32 rng(static_cast<std::uint64_t>(GetParam()), 23);
-    const auto kernel = randomGpuKernel(rng, 15);
-    const auto launch = randomLaunch(rng);
+    const auto cfg = gpusim::GpuConfig::rtx4090();
+    const auto kernel = randomGpuKernel(rng, 15, cfg);
+    const auto launch = randomLaunch(rng, kernel, cfg, 8, 256);
 
-    gpusim::GpuMachine a(gpusim::GpuConfig::rtx4090(), 9);
-    gpusim::GpuMachine b(gpusim::GpuConfig::rtx4090(), 9);
+    gpusim::GpuMachine a(cfg, 9);
+    gpusim::GpuMachine b(cfg, 9);
     const auto ra = a.run(kernel, launch, 1);
     const auto rb = b.run(kernel, launch, 1);
     EXPECT_EQ(ra.thread_cycles, rb.thread_cycles);
@@ -286,16 +309,23 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GpuFuzz, ::testing::Range(1, 26));
 
 TEST(GpuLoopBatchFuzz, BatchedRunsMatchSingleStepOnRandomKernels)
 {
-    // Loops 10x the fuzz range above; see the CPU variant.
+    // Loops 10x the fuzz range above, on every preset (16, 40 and 48
+    // L2 atomic units) and launches of up to 2 x sm_count blocks of up
+    // to 512 threads; see the CPU variant.
+    const gpusim::GpuConfig presets[] = {
+        gpusim::GpuConfig::rtx2070Super(), gpusim::GpuConfig::a100(),
+        gpusim::GpuConfig::rtx4090()};
     std::uint64_t batched_iters = 0;
     for (int seed = 1; seed < 26; ++seed) {
         SCOPED_TRACE(seed);
         Pcg32 rng(static_cast<std::uint64_t>(seed), 23);
-        const auto kernel = randomGpuKernel(rng, 150);
-        const auto launch = randomLaunch(rng);
+        const auto &cfg = presets[rng.below(3)];
+        const auto kernel = randomGpuKernel(rng, 150, cfg);
+        const auto launch =
+            randomLaunch(rng, kernel, cfg, 2 * cfg.sm_count, 512);
 
-        gpusim::GpuMachine batched(gpusim::GpuConfig::rtx4090(), 9);
-        gpusim::GpuMachine stepped(gpusim::GpuConfig::rtx4090(), 9);
+        gpusim::GpuMachine batched(cfg, 9);
+        gpusim::GpuMachine stepped(cfg, 9);
         stepped.setLoopBatch(false);
         const auto rb = batched.run(kernel, launch, 1);
         const auto rs = stepped.run(kernel, launch, 1);

@@ -68,9 +68,16 @@ run_leg nobatch_j4 --no-loop-batch --jobs 4
 run_leg batch_s3 --shards 3 --jobs 1
 run_leg nobatch_s3 --no-loop-batch --shards 3 --jobs 1
 
-# The batched serial leg must actually have batched: its metrics
-# snapshot is the witness that the identity above was not vacuous.
-echo "== engagement: loop_batch_iters > 0 in the batched leg"
+# The batched serial leg must actually have batched, and exactly as
+# much as the batcher is known to on this slice: its metrics snapshot
+# is the witness that the identity above was not vacuous. The counts
+# are deterministic (identical at any --jobs), so any algorithmic
+# change to period detection moves them on every host.
+EXPECT_ITERS=2813181
+EXPECT_WINDOWS=609
+EXPECT_FALLBACKS=2102
+echo "== engagement: loop_batch_iters/windows/fallbacks =" \
+    "$EXPECT_ITERS/$EXPECT_WINDOWS/$EXPECT_FALLBACKS"
 if ! run engaged.log --only "$ONLY" --out "$WORK/engaged" --jobs 1 \
         --metrics "$WORK/metrics.json"; then
     dump_log engaged.log
@@ -79,10 +86,15 @@ elif ! python3 -c '
 import json, sys
 with open(sys.argv[1]) as f:
     counters = json.load(f)["counters"]
-sys.exit(0 if counters.get("loop_batch_iters", 0) > 0 and
-         counters.get("loop_batch_fallbacks", 0) > 0 else 1)
-' "$WORK/metrics.json"; then
-    fail "batched campaign reported no loop_batch_iters/fallbacks"
+got = [counters.get(k, 0) for k in
+       ("loop_batch_iters", "loop_batch_windows", "loop_batch_fallbacks")]
+want = [int(v) for v in sys.argv[2:]]
+if got != want:
+    print("loop_batch iters/windows/fallbacks: got", got, "want", want)
+    sys.exit(1)
+' "$WORK/metrics.json" "$EXPECT_ITERS" "$EXPECT_WINDOWS" \
+        "$EXPECT_FALLBACKS"; then
+    fail "batched campaign's loop-batch counters differ from the known counts"
 fi
 
 if [ "$FAILURES" -ne 0 ]; then

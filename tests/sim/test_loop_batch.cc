@@ -2,9 +2,10 @@
  * @file
  * Identity tests for steady-state loop batching: for every workload
  * class the simulators model, a batched run must produce cycle
- * counts bit-identical to single-stepping, the batcher must engage
- * on uncontended steady states, fall back around contention, and
- * respect a pinned horizon (docs/performance.md, "Loop batching").
+ * counts and telemetry bit-identical to single-stepping, the batcher
+ * must engage on uncontended steady states, fall back around
+ * contention, and respect a pinned horizon (docs/performance.md,
+ * "Loop batching").
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include "cpusim/machine.hh"
 #include "gpusim/machine.hh"
 #include "sim/loop_batch.hh"
+#include "same_stats.hh"
 
 namespace syncperf
 {
@@ -47,7 +49,8 @@ program(std::vector<cpusim::CpuOp> body, long iterations)
 cpusim::CpuRunResult
 runCpu(const std::vector<cpusim::CpuProgram> &programs, bool batch,
        sim::LoopBatchCounters *lb = nullptr,
-       sim::Tick pin = sim::EventQueue::no_tick)
+       sim::Tick pin = sim::EventQueue::no_tick,
+       sim::StatSet *stats = nullptr)
 {
     cpusim::CpuMachine m(cpusim::CpuConfig{}, Affinity::Close, 42);
     m.setLoopBatch(batch);
@@ -55,6 +58,8 @@ runCpu(const std::vector<cpusim::CpuProgram> &programs, bool batch,
     const auto r = m.run(programs, /*warmup_iterations=*/2);
     if (lb != nullptr)
         *lb = m.loopBatch();
+    if (stats != nullptr)
+        *stats = m.stats();
     return r;
 }
 
@@ -62,10 +67,15 @@ void
 expectCpuIdentity(const std::vector<cpusim::CpuProgram> &programs,
                   sim::LoopBatchCounters &lb)
 {
-    const auto batched = runCpu(programs, true, &lb);
-    const auto stepped = runCpu(programs, false);
+    sim::StatSet batched_stats;
+    sim::StatSet stepped_stats;
+    const auto batched = runCpu(programs, true, &lb,
+                                sim::EventQueue::no_tick, &batched_stats);
+    const auto stepped = runCpu(programs, false, nullptr,
+                                sim::EventQueue::no_tick, &stepped_stats);
     EXPECT_EQ(batched.total_cycles, stepped.total_cycles);
     EXPECT_EQ(batched.thread_cycles, stepped.thread_cycles);
+    expectSameStats(batched_stats, stepped_stats);
 }
 
 TEST(CpuLoopBatch, UncontendedAluBatchesAndMatchesSingleStep)
@@ -198,7 +208,8 @@ kernel(std::vector<gpusim::GpuOp> body, long iterations)
 gpusim::GpuRunResult
 runGpu(const gpusim::GpuKernel &k, gpusim::LaunchConfig launch,
        bool batch, sim::LoopBatchCounters *lb = nullptr,
-       sim::Tick pin = sim::EventQueue::no_tick)
+       sim::Tick pin = sim::EventQueue::no_tick,
+       sim::StatSet *stats = nullptr)
 {
     gpusim::GpuMachine m(gpusim::GpuConfig{}, 7);
     m.setLoopBatch(batch);
@@ -206,6 +217,8 @@ runGpu(const gpusim::GpuKernel &k, gpusim::LaunchConfig launch,
     const auto r = m.run(k, launch, /*warmup_iterations=*/2);
     if (lb != nullptr)
         *lb = m.loopBatch();
+    if (stats != nullptr)
+        *stats = m.stats();
     return r;
 }
 
@@ -214,10 +227,15 @@ expectGpuIdentity(const gpusim::GpuKernel &k,
                   gpusim::LaunchConfig launch,
                   sim::LoopBatchCounters &lb)
 {
-    const auto batched = runGpu(k, launch, true, &lb);
-    const auto stepped = runGpu(k, launch, false);
+    sim::StatSet batched_stats;
+    sim::StatSet stepped_stats;
+    const auto batched = runGpu(k, launch, true, &lb,
+                                sim::EventQueue::no_tick, &batched_stats);
+    const auto stepped = runGpu(k, launch, false, nullptr,
+                                sim::EventQueue::no_tick, &stepped_stats);
     EXPECT_EQ(batched.total_cycles, stepped.total_cycles);
     EXPECT_EQ(batched.thread_cycles, stepped.thread_cycles);
+    expectSameStats(batched_stats, stepped_stats);
 }
 
 TEST(GpuLoopBatch, UncontendedAluBatchesAndMatchesSingleStep)
@@ -281,6 +299,37 @@ TEST(GpuLoopBatch, SystemFenceDrawsJitterAndNeverBatches)
                       {4, 64}, lb);
     EXPECT_EQ(lb.windows, 0u);
     EXPECT_GT(lb.fallbacks, 0u);
+}
+
+TEST(GpuLoopBatch, StoreThenDeviceFenceBatchesAndMatchesSingleStep)
+{
+    // Each warp's fence waits on its own store's commit stamp, an
+    // actor-local register the jump must shift with the warp: left
+    // behind, it would make every post-jump fence look free.
+    sim::LoopBatchCounters lb;
+    expectGpuIdentity(kernel({gpusim::GpuOp::globalStore(0x600),
+                              gpusim::GpuOp::fence(
+                                  gpusim::FenceScope::Device)},
+                             100),
+                      {4, 64}, lb);
+    EXPECT_GT(lb.batched_iters, lb.total_iters / 2);
+}
+
+TEST(GpuLoopBatch, DramTailStaysLiveWhenTheEpilogueLoads)
+{
+    // A store-only body pushes the DRAM queue tail far ahead of the
+    // clock. The epilogue's load reads it, so the tail is live: a
+    // fingerprint that canonicalized it would let the batched run
+    // drop the backlog the load must wait behind.
+    auto k = kernel({gpusim::GpuOp::globalStore(0x200000,
+                                                DataType::Int32, 32)},
+                    100);
+    k.epilogue = {gpusim::GpuOp::globalLoad(0x200000)};
+    const gpusim::LaunchConfig launch{64, 1024};
+    const auto batched = runGpu(k, launch, true);
+    const auto stepped = runGpu(k, launch, false);
+    EXPECT_EQ(batched.total_cycles, stepped.total_cycles);
+    EXPECT_EQ(batched.thread_cycles, stepped.thread_cycles);
 }
 
 TEST(GpuLoopBatch, HorizonPinShrinksBatchingButNotResults)
