@@ -26,12 +26,6 @@ smLineKey(int sm, std::uint64_t line)
     return (static_cast<std::uint64_t>(sm) << 44) ^ line;
 }
 
-/** 32-byte sector granularity used by the L2 atomic path. */
-constexpr std::uint64_t sector_shift = 5;
-
-/** Upper bound on lanes per warp for stack-local sector grouping. */
-constexpr int max_lanes = 64;
-
 } // namespace
 
 GpuMachine::GpuMachine(GpuConfig cfg, std::uint64_t seed)
@@ -79,16 +73,15 @@ GpuMachine::activeLanes(const WarpCtx &warp, const DecodedGpuOp &op) const
 }
 
 std::uint64_t
-GpuMachine::resolveAddr(const WarpCtx &warp, const DecodedGpuOp &op,
-                        int lane) const
+GpuMachine::lane0Addr(const WarpCtx &warp, const DecodedGpuOp &op) const
 {
     switch (op.amode) {
       case AddressMode::SingleShared:
         return op.base_addr;
       case AddressMode::PerThread:
         return op.base_addr +
-               static_cast<std::uint64_t>(warp.first_tid + lane) *
-                   op.stride * op.esize;
+               static_cast<std::uint64_t>(warp.first_tid) * op.stride *
+                   op.esize;
       case AddressMode::PerBlock:
         // One variable per block, padded to separate sectors.
         return op.base_addr +
@@ -266,7 +259,7 @@ GpuMachine::execAtomicSameAddr(int warp_id, const DecodedGpuOp &op,
     }
 
     Tick &lsu = st_.lsu_free[warp.sm];
-    const std::uint64_t line = resolveAddr(warp, op, 0) >> sector_shift;
+    const std::uint64_t line = lane0Addr(warp, op) >> sector_shift;
     GateSlots &gate = st_.sm_line_gate[smLineKey(warp.sm, line)];
 
     // Reduction-style op on one address: the JIT aggregates the
@@ -325,7 +318,7 @@ GpuMachine::execAtomicCasLike(int warp_id, const DecodedGpuOp &op,
     }
 
     Tick &lsu = st_.lsu_free[warp.sm];
-    const std::uint64_t line = resolveAddr(warp, op, 0) >> sector_shift;
+    const std::uint64_t line = lane0Addr(warp, op) >> sector_shift;
     GateSlots &gate = st_.sm_line_gate[smLineKey(warp.sm, line)];
 
     stats_.inc(sim::Probe::GpuAtomicCasLike);
@@ -375,40 +368,27 @@ GpuMachine::execAtomicPerThread(int warp_id, const DecodedGpuOp &op,
         post_start + static_cast<Tick>(active) * cfg_.lsu_ii;
     lsu = post_done;
 
-    // Group the lanes' sectors. A warp has at most warp_size lanes,
-    // so a stack-local array replaces the per-call hash map; the
-    // per-unit reservation below is order-independent (each unit's
-    // final time telescopes to max(post_done, start) + sum(counts)),
-    // so first-touch order gives identical results.
-    SYNCPERF_ASSERT(active <= max_lanes);
-    std::uint64_t line_key[max_lanes];
-    int line_count[max_lanes];
-    int nlines = 0;
-    for (int lane = 0; lane < active; ++lane) {
-        const std::uint64_t line =
-            resolveAddr(warp, op, lane) >> sector_shift;
-        int i = 0;
-        while (i < nlines && line_key[i] != line)
-            ++i;
-        if (i == nlines) {
-            line_key[i] = line;
-            line_count[i] = 0;
-            ++nlines;
-        }
-        ++line_count[i];
-    }
-
+    // Each unit's reservations telescope: served k times in a row, it
+    // ends at max(post_done, free) + (sum of counts) * unit_ii whatever
+    // the grouping or order. Merging a full, sector-aligned warp's
+    // lanes per unit at decode time, or walking any other warp run by
+    // run, therefore gives identical results.
+    const std::uint64_t step =
+        static_cast<std::uint64_t>(op.stride) * op.esize;
+    const std::uint64_t addr0 = lane0Addr(warp, op);
+    const auto units = static_cast<std::uint32_t>(cfg_.l2_atomic_units);
     Tick last_svc = post_done;
-    for (int i = 0; i < nlines; ++i) {
-        Tick &unit =
-            st_.unit_free[line_key[i] % static_cast<std::uint64_t>(
-                                         cfg_.l2_atomic_units)];
-        const Tick svc_start = std::max(post_done, unit);
-        const Tick svc_done =
-            svc_start + static_cast<Tick>(line_count[i]) * op.unit_ii;
-        unit = svc_done;
-        last_svc = std::max(last_svc, svc_done);
-    }
+    const auto reserve = [&](std::uint32_t unit, std::uint32_t lanes) {
+        Tick &free = st_.unit_free[unit];
+        free = std::max(post_done, free) +
+               static_cast<Tick>(lanes) * op.unit_ii;
+        last_svc = std::max(last_svc, free);
+    };
+    constexpr std::uint64_t sector_mask = (1u << sector_shift) - 1;
+    if (active == cfg_.warp_size && (addr0 & sector_mask) == 0)
+        forEachTableShare(image_->unitShares(op), addr0, units, reserve);
+    else
+        forEachSectorRun(addr0, step, active, units, reserve);
 
     if (op.value_returning) {
         finishOp(warp_id, last_svc + cfg_.atomic_rt);
@@ -777,6 +757,10 @@ GpuMachine::decodeOp(const GpuOp &op) const
             }
             return d;
         }
+        // Lane addresses must not decrease with the lane
+        // (gpusim/atomic_units.hh).
+        SYNCPERF_ASSERT(op.stride >= 0,
+                        "per-thread atomics need a non-negative stride");
         d.handler = &GpuMachine::execAtomicPerThread;
         d.unit_ii = cfg_.unitIi(op.dtype);
         return d;
@@ -932,6 +916,19 @@ GpuMachine::decodeImageInto(const GpuKernel &kernel,
     decodeSequence(kernel.prologue, img.prologue);
     decodeSequence(kernel.body, img.body);
     decodeSequence(kernel.epilogue, img.epilogue);
+    img.unit_table.clear();
+    for (auto *code : {&img.prologue, &img.body, &img.epilogue}) {
+        for (DecodedGpuOp &op : *code) {
+            if (op.handler != &GpuMachine::execAtomicPerThread)
+                continue;
+            op.units_at = static_cast<std::uint32_t>(img.unit_table.size());
+            op.units_n = appendUnitTable(
+                static_cast<std::uint64_t>(op.stride) * op.esize,
+                cfg_.warp_size,
+                static_cast<std::uint32_t>(cfg_.l2_atomic_units),
+                img.unit_table);
+        }
+    }
     img.fingerprint = fingerprintOf(img);
 }
 

@@ -9,8 +9,8 @@
  *   __syncwarp/__shfl_sync full-speed warp-count knees);
  * - a hardware block barrier whose cost grows with resident warps
  *   (__syncthreads), independent of block count;
- * - L2 atomic units with per-address service intervals, an
- *   address-hashed unit pool, and JIT warp aggregation for
+ * - L2 atomic units with per-address service intervals, a pool of
+ *   units indexed by 32-byte sector, and JIT warp aggregation for
  *   reduction-style atomics on a single address (atomicAdd/Max);
  * - one outstanding same-address atomic per SM (same-SM warps
  *   serialize; different SMs pipeline in the L2);
@@ -27,7 +27,10 @@
  * hoisted), and the event loop then jumps straight into per-op
  * handlers with no switch. Event ordering is identical to the
  * historical switch interpreter, so results stay bit-for-bit
- * reproducible.
+ * reproducible. Per-thread atomics use the affine shape of their lane
+ * addresses (gpusim/atomic_units.hh): the decode step tabulates each
+ * op's lane count per L2 unit once, and a full, sector-aligned warp
+ * then costs one modulo plus one reservation per distinct unit.
  *
  * Decoded kernels can further be captured as immutable
  * DecodedImages keyed by the caller's config hash: run() with a key
@@ -45,6 +48,7 @@
 #include <vector>
 
 #include "common/rng.hh"
+#include "gpusim/atomic_units.hh"
 #include "gpusim/gpu_config.hh"
 #include "gpusim/kernel.hh"
 #include "sim/event_queue.hh"
@@ -101,6 +105,10 @@ class GpuMachine : private sim::LoopBatcher::Host
         Tick addr_ii = 0;         ///< cfg.addrIi(dtype), hoisted
         Tick unit_ii = 0;         ///< cfg.unitIi(dtype), hoisted
         Tick gate_delay = 0;      ///< gateDelay(dtype), hoisted
+        /** PerThread atomics: this op's slice of
+         * DecodedImage::unit_table. */
+        std::uint32_t units_at = 0;
+        std::uint32_t units_n = 0;
     };
 
     /**
@@ -114,6 +122,20 @@ class GpuMachine : private sim::LoopBatcher::Host
         std::vector<DecodedGpuOp> prologue;
         std::vector<DecodedGpuOp> body;
         std::vector<DecodedGpuOp> epilogue;
+
+        /**
+         * Per-unit lane counts of every PerThread atomic for a full
+         * warp with lane 0 on a sector boundary (appendUnitTable), one
+         * slice per op. A pure function of the operands folded below
+         * and the machine's config, so it is not folded itself.
+         */
+        std::vector<UnitShare> unit_table;
+
+        std::span<const UnitShare>
+        unitShares(const DecodedGpuOp &op) const
+        {
+            return {unit_table.data() + op.units_at, op.units_n};
+        }
 
         /**
          * Content digest of the decoded form (handler ids, operands,
@@ -423,8 +445,10 @@ class GpuMachine : private sim::LoopBatcher::Host
     void execGridSync(int warp_id, const DecodedGpuOp &op, Tick now);
 
     int activeLanes(const WarpCtx &warp, const DecodedGpuOp &op) const;
-    std::uint64_t resolveAddr(const WarpCtx &warp,
-                              const DecodedGpuOp &op, int lane) const;
+    /** The address lane 0 of @p warp accesses under @p op; PerThread
+     * lane i adds i * stride * esize. */
+    std::uint64_t lane0Addr(const WarpCtx &warp,
+                            const DecodedGpuOp &op) const;
 
     // --- Steady-state loop batching (sim::LoopBatcher::Host) ---
     // The batcher decides when and how far to jump; both halves the

@@ -5,7 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <span>
+#include <vector>
+
 #include "common/logging.hh"
+#include "common/rng.hh"
+#include "gpusim/atomic_units.hh"
 #include "gpusim/machine.hh"
 
 namespace syncperf::gpusim
@@ -380,6 +387,289 @@ TEST(GpuMachineImage, CloneFromDoesNotChangeResults)
     GpuMachine fresh(testGpu(), 3);
     EXPECT_EQ(cloned.run(k, {4, 128}, 2).thread_cycles,
               fresh.run(k, {4, 128}, 2).thread_cycles);
+}
+
+// ------------------------------------------------- L2 atomic units
+
+/** The per-lane definition of the grouping: lane i's unit is the
+ * 32-byte sector of addr0 + i * step modulo the unit count. */
+std::vector<std::uint32_t>
+perLaneUnitHistogram(std::uint64_t addr0, std::uint64_t step, int lanes,
+                     std::uint32_t units)
+{
+    std::vector<std::uint32_t> hist(units, 0);
+    for (int lane = 0; lane < lanes; ++lane)
+        ++hist[((addr0 + static_cast<std::uint64_t>(lane) * step) >> 5) %
+               units];
+    return hist;
+}
+
+/** One random per-thread atomic shape: 1..32 lanes, stride 1..64 of
+ * a 4- or 8-byte element, lane 0 anywhere below 2^40. */
+struct UnitCase
+{
+    std::uint64_t addr0;
+    std::uint64_t step;
+    int lanes;
+};
+
+UnitCase
+randomUnitCase(Pcg32 &rng)
+{
+    const std::uint64_t esize = rng.below(2) ? 8 : 4;
+    const std::uint64_t stride = 1 + rng.below(64);
+    return {(std::uint64_t{rng()} << 8) | rng.below(256),
+            stride * esize, 1 + static_cast<int>(rng.below(32))};
+}
+
+constexpr std::uint32_t unit_counts[] = {1, 16, 32, 40, 48};
+
+TEST(GpuAtomicUnits, SectorRunsMatchPerLaneDefinition)
+{
+    Pcg32 rng(7, 3);
+    int unaligned = 0;
+    for (const std::uint32_t units : unit_counts) {
+        for (int trial = 0; trial < 400; ++trial) {
+            const UnitCase c = randomUnitCase(rng);
+            SCOPED_TRACE(testing::Message()
+                         << "units " << units << " addr0 " << c.addr0
+                         << " step " << c.step << " lanes " << c.lanes);
+            unaligned += (c.addr0 & 31) != 0;
+            std::vector<std::uint32_t> hist(units, 0);
+            forEachSectorRun(c.addr0, c.step, c.lanes, units,
+                             [&](std::uint32_t unit, std::uint32_t n) {
+                ASSERT_LT(unit, units);
+                ASSERT_GT(n, 0u);
+                hist[unit] += n;
+            });
+            EXPECT_EQ(hist,
+                      perLaneUnitHistogram(c.addr0, c.step, c.lanes, units));
+        }
+    }
+    EXPECT_GT(unaligned, 0);
+}
+
+TEST(GpuAtomicUnits, DecodedTableMatchesPerLaneDefinition)
+{
+    Pcg32 rng(11, 3);
+    for (const std::uint32_t units : unit_counts) {
+        // Tables are appended one slice per op into a shared array.
+        std::vector<UnitShare> table = {{units - 1, 5}};
+        for (int trial = 0; trial < 400; ++trial) {
+            UnitCase c = randomUnitCase(rng);
+            c.addr0 &= ~std::uint64_t{31};
+            SCOPED_TRACE(testing::Message()
+                         << "units " << units << " addr0 " << c.addr0
+                         << " step " << c.step << " lanes " << c.lanes);
+            const std::size_t at = table.size();
+            const std::uint32_t n =
+                appendUnitTable(c.step, c.lanes, units, table);
+            ASSERT_EQ(table.size(), at + n);
+            const std::span<const UnitShare> slice(table.data() + at, n);
+            // One share per distinct unit.
+            std::vector<std::uint32_t> seen;
+            for (const UnitShare &share : slice)
+                seen.push_back(share.unit);
+            std::sort(seen.begin(), seen.end());
+            EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()),
+                      seen.end());
+
+            std::vector<std::uint32_t> hist(units, 0);
+            forEachTableShare(slice, c.addr0, units,
+                              [&](std::uint32_t unit, std::uint32_t lanes) {
+                ASSERT_LT(unit, units);
+                hist[unit] += lanes;
+            });
+            EXPECT_EQ(hist,
+                      perLaneUnitHistogram(c.addr0, c.step, c.lanes, units));
+        }
+    }
+}
+
+// ------------------------------------------------ closed-form oracles
+
+/** The paper's three GPUs: 16, 40 and 48 L2 atomic units. */
+const std::array<GpuConfig, 3> &
+gpuPresets()
+{
+    static const std::array<GpuConfig, 3> presets = {
+        GpuConfig::rtx2070Super(), GpuConfig::a100(),
+        GpuConfig::rtx4090()};
+    return presets;
+}
+
+/** Timed cycles of one warp of @p threads lanes running @p op once on
+ * a fresh machine, with no warmup: the op starts on an idle SM at the
+ * timed region's first tick. */
+long long
+oneOpCycles(const GpuConfig &cfg, const GpuOp &op, int threads = 32)
+{
+    GpuMachine machine(cfg);
+    const auto r = machine.run(bodyKernel({op}, 1), {1, threads}, 0);
+    return static_cast<long long>(r.thread_cycles.at(0));
+}
+
+/** The fire-and-forget finish: posting done at @p posted, the warp
+ * may run ahead of its last service point @p served by ff_window. */
+long long
+fireAndForget(const GpuConfig &cfg, long long posted, long long served)
+{
+    return std::max(posted, served - static_cast<long long>(cfg.ff_window));
+}
+
+/** One PerThread atomic of @p lanes lanes on an idle machine: issue,
+ * lanes x lsu_ii of posting, the busiest unit's lanes x unit_ii of
+ * service, then the round trip (CAS) or the fire-and-forget window. */
+long long
+perThreadAtomicCost(const GpuConfig &cfg, AtomicOp aop, DataType t,
+                    int stride, std::uint64_t base, int lanes)
+{
+    const auto hist = perLaneUnitHistogram(
+        base, static_cast<std::uint64_t>(stride) * dataTypeSize(t), lanes,
+        static_cast<std::uint32_t>(cfg.l2_atomic_units));
+    const long long busiest = *std::max_element(hist.begin(), hist.end());
+    const long long posted = static_cast<long long>(cfg.issue_ii) +
+                             lanes * static_cast<long long>(cfg.lsu_ii);
+    const long long served =
+        posted + busiest * static_cast<long long>(cfg.unitIi(t));
+    return aop == AtomicOp::Cas
+               ? served + static_cast<long long>(cfg.atomic_rt)
+               : fireAndForget(cfg, posted, served);
+}
+
+TEST(GpuOracle, PerThreadAtomicCostsIssuePostServiceAndReturn)
+{
+    // Full and partial warps, with lane 0 on and off a sector
+    // boundary.
+    struct Shape
+    {
+        std::uint64_t base;
+        int lanes;
+    };
+    constexpr Shape shapes[] = {
+        {0x100000, 32}, {0x100014, 32}, {0x100000, 20}, {0x100014, 20}};
+    for (const GpuConfig &cfg : gpuPresets()) {
+        for (const DataType t : all_data_types) {
+            for (const int stride : {1, 8, 32}) {
+                for (const AtomicOp aop : {AtomicOp::Add, AtomicOp::Cas}) {
+                    for (const Shape &sh : shapes) {
+                        EXPECT_EQ(
+                            oneOpCycles(cfg,
+                                        GpuOp::globalAtomic(
+                                            aop, AddressMode::PerThread,
+                                            sh.base, t, stride),
+                                        sh.lanes),
+                            perThreadAtomicCost(cfg, aop, t, stride,
+                                                sh.base, sh.lanes))
+                            << cfg.name << " " << dataTypeName(t)
+                            << " stride " << stride << " cas "
+                            << (aop == AtomicOp::Cas) << " base "
+                            << sh.base << " lanes " << sh.lanes;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(GpuOracle, AtomicChainMatchesPerLaneReservations)
+{
+    // With an unbounded fire-and-forget window every atomicAdd retires
+    // at posting and leaves its unit reservations behind, so the
+    // closing atomicCAS waits on exactly which units the chain before
+    // it reserved: the per-lane model, one reservation per lane.
+    Pcg32 rng(13, 3);
+    for (GpuConfig cfg : gpuPresets()) {
+        cfg.ff_window = 1'000'000'000;
+        const auto units = static_cast<std::uint32_t>(cfg.l2_atomic_units);
+        for (int trial = 0; trial < 100; ++trial) {
+            const int lanes =
+                rng.below(2) ? 32 : 1 + static_cast<int>(rng.below(32));
+            const int n = 2 + static_cast<int>(rng.below(4));
+            std::vector<GpuOp> body;
+            for (int i = 0; i < n; ++i) {
+                body.push_back(GpuOp::globalAtomic(
+                    i + 1 < n ? AtomicOp::Add : AtomicOp::Cas,
+                    AddressMode::PerThread,
+                    0x100000 + rng.below(4) * 0x100 +
+                        (rng.below(2) ? 0 : rng.below(32)),
+                    all_data_types[rng.below(4)],
+                    1 + static_cast<int>(rng.below(64))));
+            }
+
+            std::vector<Tick> unit_free(units, 0);
+            Tick t = 0, sched = 0, lsu = 0;
+            for (const GpuOp &op : body) {
+                sched = std::max(t, sched) + cfg.issue_ii;
+                lsu = std::max(sched, lsu) +
+                      static_cast<Tick>(lanes) * cfg.lsu_ii;
+                Tick served = lsu;
+                const std::uint64_t step =
+                    static_cast<std::uint64_t>(op.stride) *
+                    dataTypeSize(op.dtype);
+                for (int lane = 0; lane < lanes; ++lane) {
+                    Tick &free = unit_free[((op.base_addr +
+                                             static_cast<std::uint64_t>(
+                                                 lane) * step) >> 5) %
+                                           units];
+                    free = std::max(lsu, free) + cfg.unitIi(op.dtype);
+                    served = std::max(served, free);
+                }
+                t = op.aop == AtomicOp::Cas ? served + cfg.atomic_rt : lsu;
+            }
+            SCOPED_TRACE(testing::Message()
+                         << cfg.name << " trial " << trial);
+            GpuMachine machine(cfg);
+            EXPECT_EQ(machine.run(bodyKernel(body, 1), {1, lanes}, 0)
+                          .thread_cycles.at(0),
+                      t);
+        }
+    }
+}
+
+TEST(GpuOracle, SingleLaneSameAddressAtomicCostsItsLatency)
+{
+    for (const GpuConfig &cfg : gpuPresets()) {
+        for (const DataType t : all_data_types) {
+            SCOPED_TRACE(testing::Message()
+                         << cfg.name << " " << dataTypeName(t));
+            const long long posted =
+                static_cast<long long>(cfg.issue_ii + cfg.lsu_ii);
+            EXPECT_EQ(oneOpCycles(cfg,
+                                  GpuOp::globalAtomic(
+                                      AtomicOp::Add,
+                                      AddressMode::SingleShared, 0x1000, t),
+                                  1),
+                      fireAndForget(cfg, posted,
+                                    posted + static_cast<long long>(
+                                                 cfg.addrIi(t))));
+            EXPECT_EQ(oneOpCycles(cfg,
+                                  GpuOp::globalAtomic(
+                                      AtomicOp::Cas,
+                                      AddressMode::SingleShared, 0x1000, t),
+                                  1),
+                      posted + static_cast<long long>(cfg.cas_group_ii +
+                                                      cfg.atomic_rt));
+        }
+    }
+}
+
+TEST(GpuOracle, LoadStoreAndFencesCostTheirLatencies)
+{
+    for (const GpuConfig &cfg : gpuPresets()) {
+        SCOPED_TRACE(cfg.name);
+        // A full warp of 4-byte lanes moves 128 bytes: four sectors.
+        const long long posted =
+            static_cast<long long>(cfg.issue_ii + 4 * cfg.lsu_ii);
+        EXPECT_EQ(oneOpCycles(cfg, GpuOp::globalLoad(0x100000)),
+                  posted + static_cast<long long>(cfg.mem_rt));
+        EXPECT_EQ(oneOpCycles(cfg, GpuOp::globalStore(0x100000)), posted);
+        EXPECT_EQ(oneOpCycles(cfg, GpuOp::fence(FenceScope::Block)),
+                  static_cast<long long>(cfg.issue_ii + cfg.fence_block));
+        EXPECT_EQ(oneOpCycles(cfg, GpuOp::fence(FenceScope::Device)),
+                  static_cast<long long>(cfg.issue_ii + cfg.fence_lsu_drain +
+                                         cfg.fence_device));
+    }
 }
 
 } // namespace

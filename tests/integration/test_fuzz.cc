@@ -15,6 +15,7 @@
 #include "common/rng.hh"
 #include "cpusim/machine.hh"
 #include "gpusim/machine.hh"
+#include "gpusim/occupancy.hh"
 #include "sim/stat.hh"
 #include "../sim/same_stats.hh"
 
@@ -323,6 +324,51 @@ TEST(GpuLoopBatchFuzz, BatchedRunsMatchSingleStepOnRandomKernels)
         const auto kernel = randomGpuKernel(rng, 150, cfg);
         const auto launch =
             randomLaunch(rng, kernel, cfg, 2 * cfg.sm_count, 512);
+
+        gpusim::GpuMachine batched(cfg, 9);
+        gpusim::GpuMachine stepped(cfg, 9);
+        stepped.setLoopBatch(false);
+        const auto rb = batched.run(kernel, launch, 1);
+        const auto rs = stepped.run(kernel, launch, 1);
+        EXPECT_EQ(rb.thread_cycles, rs.thread_cycles);
+        EXPECT_EQ(rb.total_cycles, rs.total_cycles);
+        expectSameStats(batched.stats(), stepped.stats());
+        EXPECT_EQ(stepped.loopBatch().batched_iters, 0u);
+        batched_iters += batched.loopBatch().batched_iters;
+    }
+    EXPECT_GT(batched_iters, 0u);
+}
+
+TEST(GpuLoopBatchFuzz, MultiWavePerThreadAtomicsMatchSingleStep)
+{
+    // The saturating regime of the thorough GPU sweep: per-thread
+    // atomicAdd/atomicCAS arrays at strides 1 and 32 on launches of
+    // more than one wave, so later blocks start as earlier ones
+    // retire. Case i runs preset i % 3 with data type i % 4: twelve
+    // cases cover every pair.
+    const gpusim::GpuConfig presets[] = {
+        gpusim::GpuConfig::rtx2070Super(), gpusim::GpuConfig::a100(),
+        gpusim::GpuConfig::rtx4090()};
+    std::uint64_t batched_iters = 0;
+    for (int i = 0; i < 12; ++i) {
+        SCOPED_TRACE(i);
+        Pcg32 rng(static_cast<std::uint64_t>(i), 29);
+        const auto &cfg = presets[i % 3];
+        gpusim::GpuKernel kernel;
+        kernel.body = {gpusim::GpuOp::globalAtomic(
+            rng.below(2) ? gpusim::AtomicOp::Add : gpusim::AtomicOp::Cas,
+            gpusim::AddressMode::PerThread, 0x100000,
+            all_data_types[i % 4], rng.below(2) ? 32 : 1)};
+        kernel.body_iters = 8 + static_cast<long>(rng.below(33));
+        const int threads = 32 << rng.below(6);
+        const int wave =
+            gpusim::computeOccupancy(cfg, {1, threads}).blocks_per_sm *
+            cfg.sm_count;
+        const gpusim::LaunchConfig launch{
+            wave + 1 + static_cast<int>(rng.below(
+                           static_cast<std::uint32_t>(wave))),
+            threads};
+        ASSERT_GE(gpusim::computeOccupancy(cfg, launch).waves, 2);
 
         gpusim::GpuMachine batched(cfg, 9);
         gpusim::GpuMachine stepped(cfg, 9);
