@@ -559,7 +559,9 @@ main(int argc, char **argv)
                 "  --shard-report FILE       write a JSON report of "
                 "shard lifecycle/degradation.\n"
                 "  --no-sim-cache  re-simulate every launch instead "
-                "of memoizing deterministic results\n"
+                "of replaying a measurement's\n"
+                "             repeat launches from a memo kept only "
+                "while that point is measured\n"
                 "             (output is byte-identical either way; "
                 "this only trades speed for memory).\n"
                 "  --no-loop-batch  single-step every simulated "
@@ -574,7 +576,10 @@ main(int argc, char **argv)
                 "machines with decoded images\n"
                 "             (output is byte-identical either way; "
                 "see docs/performance.md,\n"
-                "             \"Warm-start machine pool\").\n"
+                "             \"Warm-start machine pool\"). Lane "
+                "grouping needs the pool's decoded\n"
+                "             images, so this also turns it off, as "
+                "--no-lanes does.\n"
                 "  --lanes N  lane groups span at most N sweep points "
                 "whose programs decode to\n"
                 "             identical images; a group simulates its "

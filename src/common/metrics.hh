@@ -45,8 +45,8 @@ enum class Counter : int
                        ///< flush cadence is a supervisor/serial-only
                        ///< concern, so shard totals never sum to the
                        ///< serial value)
-    SimCacheHits,      ///< sim measurements served from the result cache
-    SimCacheMisses,    ///< cacheable sim measurements actually simulated
+    SimCacheHits,      ///< sim launches replayed from a launch memo
+    SimCacheMisses,    ///< memoizable sim launches actually simulated
     LoopBatchIters,    ///< timed iterations advanced algebraically
     LoopBatchWindows,  ///< steady-state windows the batchers applied
     LoopBatchFallbacks,///< boundary checks that fell back to stepping

@@ -5,12 +5,9 @@
 
 #include "cpusim_target.hh"
 
-#include <limits>
-
 #include "common/logging.hh"
 #include "common/metrics.hh"
 #include "core/manifest.hh"
-#include "sim/fault_injector.hh"
 
 namespace syncperf::core
 {
@@ -163,26 +160,6 @@ CpuSimTarget::machineFor(Affinity affinity)
 }
 
 std::uint64_t
-CpuSimTarget::cacheKey(const std::vector<cpusim::CpuProgram> &programs,
-                       Affinity affinity) const
-{
-    ConfigHasher h;
-    h.add(static_cast<int>(affinity)).add(mcfg_.n_warmup);
-    h.add(static_cast<std::uint64_t>(programs.size()));
-    for (const auto &prog : programs) {
-        h.add(static_cast<std::uint64_t>(prog.iterations));
-        h.add(static_cast<std::uint64_t>(prog.body.size()));
-        for (const auto &o : prog.body) {
-            h.add(static_cast<int>(o.kind))
-                .add(o.addr)
-                .add(static_cast<int>(o.dtype))
-                .add(o.lock_id);
-        }
-    }
-    return h.digest();
-}
-
-std::uint64_t
 CpuSimTarget::imageKey(
     const std::vector<cpusim::CpuProgram> &programs) const
 {
@@ -228,34 +205,16 @@ CpuSimTarget::laneKey(const OmpExperiment &exp, int n_threads)
 
 void
 CpuSimTarget::runOnce(const std::vector<cpusim::CpuProgram> &programs,
-                      Affinity affinity, std::vector<double> &out)
+                      Affinity affinity, std::optional<LaunchResult> *memo,
+                      std::vector<double> &out)
 {
     // The seed is consumed unconditionally so the stream of seeds --
     // and therefore any jittered launch that follows -- is identical
-    // whether or not earlier launches hit the cache.
+    // whether or not earlier launches were replayed.
     const std::uint64_t seed = next_seed_++;
-
-    // Only a jitter-free model is a pure function of its inputs;
-    // with jitter_frac > 0 every launch draws from its own rng
-    // stream and must be simulated.
-    const bool cacheable = mcfg_.sim_cache && cfg_.jitter_frac == 0.0;
-
-    std::uint64_t key = 0;
-    bool hit = false;
-    if (cacheable) {
-        key = cacheKey(programs, affinity);
-        if (auto it = cache_.find(key); it != cache_.end()) {
-            out = it->second.seconds;
-            // A hit replays the stored telemetry of the original
-            // simulation, so the accumulated sample is identical
-            // with and without the cache.
-            if (mcfg_.telemetry)
-                telemetry_.merge(it->second.telemetry);
-            hit = true;
-            metrics::add(metrics::Counter::SimCacheHits);
-        }
-    }
-    if (!hit) {
+    runMemoized(memo, mcfg_.telemetry, telemetry_, out,
+                [&](std::vector<double> &seconds,
+                    TelemetrySample &launch) {
         cpusim::CpuMachine &machine = machineFor(affinity);
         // Warm-start fast path: decode each distinct program pair
         // once per experiment into an image, then replay it (a pool
@@ -284,33 +243,13 @@ CpuSimTarget::runOnce(const std::vector<cpusim::CpuProgram> &programs,
                      static_cast<long long>(
                          machine.loopBatch().fallbacks));
         const double hz = cfg_.base_clock_ghz * 1e9;
-        out.clear();
-        out.reserve(result.thread_cycles.size());
+        seconds.clear();
+        seconds.reserve(result.thread_cycles.size());
         for (auto cycles : result.thread_cycles)
-            out.push_back(static_cast<double>(cycles) / hz);
-        TelemetrySample launch;
-        if (mcfg_.telemetry) {
+            seconds.push_back(static_cast<double>(cycles) / hz);
+        if (mcfg_.telemetry)
             launch.addStats(machine.stats());
-            telemetry_.merge(launch);
-        }
-        if (cacheable) {
-            cache_.emplace(key,
-                           CacheEntry{out, std::move(launch)});
-            metrics::add(metrics::Counter::SimCacheMisses);
-        }
-    }
-    // Faults perturb after the cache stage: cached entries hold pure
-    // simulator output, and the injector's own rng advances once per
-    // launch either way.
-    if (auto *faults = sim::FaultInjector::active()) {
-        if (faults->shouldPoisonMeasurement()) {
-            out.assign(out.size(),
-                       std::numeric_limits<double>::quiet_NaN());
-        } else {
-            for (double &s : out)
-                s = faults->perturbSeconds(s);
-        }
-    }
+    });
 }
 
 TelemetrySample
@@ -330,12 +269,21 @@ CpuSimTarget::measure(const OmpExperiment &exp, int n_threads)
     }
     const auto pair =
         buildPrograms(exp, n_threads, mcfg_.opsPerMeasurement());
+    // One memo slot per timed function, alive for this call only.
+    // Only a jitter-free model is a pure function of its inputs; with
+    // jitter_frac > 0 every launch draws its own rng stream.
+    std::optional<LaunchResult> baseline_memo, test_memo;
+    const bool memoize = mcfg_.sim_cache && cfg_.jitter_frac == 0.0;
+    auto *baseline_slot = memoize ? &baseline_memo : nullptr;
+    auto *test_slot = !memoize                      ? nullptr
+                      : pair.test == pair.baseline ? baseline_slot
+                                                   : &test_memo;
     return measurePrimitive(
         [&](std::vector<double> &out) {
-            runOnce(pair.baseline, exp.affinity, out);
+            runOnce(pair.baseline, exp.affinity, baseline_slot, out);
         },
         [&](std::vector<double> &out) {
-            runOnce(pair.test, exp.affinity, out);
+            runOnce(pair.test, exp.affinity, test_slot, out);
         },
         mcfg_);
 }

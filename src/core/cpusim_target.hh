@@ -9,10 +9,11 @@
 #define SYNCPERF_CORE_CPUSIM_TARGET_HH
 
 #include <cstdint>
-#include <unordered_map>
+#include <optional>
 #include <utility>
 #include <vector>
 
+#include "core/launch_memo.hh"
 #include "core/machine_pool.hh"
 #include "core/measure_config.hh"
 #include "core/primitives.hh"
@@ -36,16 +37,18 @@ struct OmpProgramPair
  * Holds the machine configuration, a seed counter that gives every
  * simulated launch an independent deterministic jitter stream (so
  * the protocol's runs/attempts see run-to-run variation exactly
- * where the model has jitter), a reused machine instance (warm event
- * queue and decode buffers across the thousands of launches a sweep
- * performs), and a result cache keyed by the simulated input.
+ * where the model has jitter), and a reused machine instance (warm
+ * event queue and decode buffers across the thousands of launches a
+ * sweep performs).
  *
- * The cache only ever serves jitter-free configurations
+ * Each measure() call memoizes its baseline and test launches
+ * (core/launch_memo.hh) for jitter-free configurations
  * (cfg.jitter_frac == 0), where a launch's outcome is a pure
- * function of (programs, affinity, warmup) -- a hit is bit-identical
- * to re-simulating. Jittered models (the paper's Threadripper) take
- * a fresh seed per launch and always re-simulate. Seeds are consumed
- * on hits too, so cache state never shifts the jitter stream.
+ * function of (programs, affinity, warmup) -- a replay is
+ * bit-identical to re-simulating. Jittered models (the paper's
+ * Threadripper) take a fresh seed per launch and always re-simulate.
+ * Seeds are consumed on replays too, so memoization never shifts the
+ * jitter stream.
  */
 class CpuSimTarget
 {
@@ -95,30 +98,28 @@ class CpuSimTarget
      * Telemetry accumulated by every launch since the last take
      * (all runs/attempts/retries of the measure() calls in between),
      * and reset the accumulator. Empty unless mcfg.telemetry is set.
-     * Cache hits contribute the stored telemetry of the original
-     * simulation, so the sample is independent of cache state.
+     * Memo replays contribute the stored telemetry of the original
+     * simulation, so the sample is independent of memoization.
      */
     TelemetrySample takeTelemetry();
 
     /**
      * Loop-batching activity accumulated over every launch this
-     * target actually simulated (cache hits replay stored results
-     * and add nothing). Feeds the loop_batch_* metrics counters and
-     * the --explain batch-ratio annotation.
+     * target actually simulated (memo replays add nothing). Feeds
+     * the loop_batch_* metrics counters and the --explain
+     * batch-ratio annotation.
      */
     const sim::LoopBatchCounters &loopBatch() const { return lb_; }
 
   private:
-    /** Simulate one launch, filling @p out with per-thread seconds. */
+    /** Run one launch, filling @p out with per-thread seconds, via
+     * @p memo (null: not memoizable). */
     void runOnce(const std::vector<cpusim::CpuProgram> &p,
-                 Affinity affinity, std::vector<double> &out);
+                 Affinity affinity, std::optional<LaunchResult> *memo,
+                 std::vector<double> &out);
 
     /** The leased machine, re-leased when the affinity changes. */
     cpusim::CpuMachine &machineFor(Affinity affinity);
-
-    /** Digest of everything a jitter-free launch's outcome depends on. */
-    std::uint64_t cacheKey(const std::vector<cpusim::CpuProgram> &p,
-                           Affinity affinity) const;
 
     /**
      * Digest of everything the decoded form of @p p depends on (the
@@ -128,13 +129,6 @@ class CpuSimTarget
      */
     std::uint64_t imageKey(const std::vector<cpusim::CpuProgram> &p) const;
 
-    /** Pure simulator output (pre fault injection) of one launch. */
-    struct CacheEntry
-    {
-        std::vector<double> seconds;
-        TelemetrySample telemetry;
-    };
-
     cpusim::CpuConfig cfg_;
     MeasurementConfig mcfg_;
     std::uint64_t next_seed_;
@@ -142,12 +136,10 @@ class CpuSimTarget
     MachinePool::CpuLease lease_;
     Affinity machine_affinity_ = Affinity::Spread;
 
-    std::unordered_map<std::uint64_t, CacheEntry> cache_;
-
     /** Accumulates across launches until takeTelemetry(). */
     TelemetrySample telemetry_;
 
-    /** Accumulates across every simulated (non-cache-hit) launch. */
+    /** Accumulates across every simulated (non-replayed) launch. */
     sim::LoopBatchCounters lb_;
 };
 

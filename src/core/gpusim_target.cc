@@ -5,12 +5,9 @@
 
 #include "gpusim_target.hh"
 
-#include <limits>
-
 #include "common/logging.hh"
 #include "common/metrics.hh"
 #include "core/manifest.hh"
-#include "sim/fault_injector.hh"
 
 namespace syncperf::core
 {
@@ -115,15 +112,18 @@ buildBody(const CudaExperiment &exp, int copies)
     return body;
 }
 
-/** True when any op of @p ops is a system-scope fence (the one GPU
- * op that draws per-launch jitter). */
+/** True when any op of @p kernel is a system-scope fence (the one
+ * GPU op that draws per-launch jitter). */
 bool
-hasSystemFence(const std::vector<GpuOp> &ops)
+hasSystemFence(const GpuKernel &kernel)
 {
-    for (const auto &o : ops) {
-        if (o.kind == gpusim::GpuOpKind::Fence &&
-            o.scope == FenceScope::System) {
-            return true;
+    for (const auto *ops :
+         {&kernel.prologue, &kernel.body, &kernel.epilogue}) {
+        for (const auto &o : *ops) {
+            if (o.kind == gpusim::GpuOpKind::Fence &&
+                o.scope == FenceScope::System) {
+                return true;
+            }
         }
     }
     return false;
@@ -175,21 +175,6 @@ GpuSimTarget::paperBlockCounts() const
 }
 
 std::uint64_t
-GpuSimTarget::cacheKey(const gpusim::GpuKernel &kernel,
-                       gpusim::LaunchConfig launch) const
-{
-    ConfigHasher h;
-    h.add(launch.blocks)
-        .add(launch.threads_per_block)
-        .add(mcfg_.n_warmup)
-        .add(static_cast<std::uint64_t>(kernel.body_iters));
-    hashOps(h, kernel.prologue);
-    hashOps(h, kernel.body);
-    hashOps(h, kernel.epilogue);
-    return h.digest();
-}
-
-std::uint64_t
 GpuSimTarget::imageKey(const gpusim::GpuKernel &kernel) const
 {
     ConfigHasher h;
@@ -223,36 +208,16 @@ GpuSimTarget::laneKey(const CudaExperiment &exp)
 void
 GpuSimTarget::runOnce(const gpusim::GpuKernel &kernel,
                       gpusim::LaunchConfig launch,
+                      std::optional<LaunchResult> *memo,
                       std::vector<double> &out)
 {
     // The seed is consumed unconditionally so the stream of seeds --
     // and therefore any jittered launch that follows -- is identical
-    // whether or not earlier launches hit the cache.
+    // whether or not earlier launches were replayed.
     const std::uint64_t seed = next_seed_++;
-
-    // A system-scope fence draws per-launch PCIe jitter from the rng
-    // stream; every other kernel is a pure function of its inputs.
-    const bool cacheable = mcfg_.sim_cache &&
-                           !hasSystemFence(kernel.prologue) &&
-                           !hasSystemFence(kernel.body) &&
-                           !hasSystemFence(kernel.epilogue);
-
-    std::uint64_t key = 0;
-    bool hit = false;
-    if (cacheable) {
-        key = cacheKey(kernel, launch);
-        if (auto it = cache_.find(key); it != cache_.end()) {
-            out = it->second.seconds;
-            // A hit replays the stored telemetry of the original
-            // simulation, so the accumulated sample is identical
-            // with and without the cache.
-            if (mcfg_.telemetry)
-                telemetry_.merge(it->second.telemetry);
-            hit = true;
-            metrics::add(metrics::Counter::SimCacheHits);
-        }
-    }
-    if (!hit) {
+    runMemoized(memo, mcfg_.telemetry, telemetry_, out,
+                [&](std::vector<double> &seconds,
+                    TelemetrySample &launch_sample) {
         gpusim::GpuMachine &machine = *lease_;
         // Warm-start fast path: decode each distinct kernel once per
         // experiment into an image, then replay it (a pool clone)
@@ -282,33 +247,13 @@ GpuSimTarget::runOnce(const gpusim::GpuKernel &kernel,
                      static_cast<long long>(
                          machine.loopBatch().fallbacks));
         const double hz = cfg_.clock_ghz * 1e9;
-        out.clear();
-        out.reserve(result.thread_cycles.size());
+        seconds.clear();
+        seconds.reserve(result.thread_cycles.size());
         for (auto cycles : result.thread_cycles)
-            out.push_back(static_cast<double>(cycles) / hz);
-        TelemetrySample launch_sample;
-        if (mcfg_.telemetry) {
+            seconds.push_back(static_cast<double>(cycles) / hz);
+        if (mcfg_.telemetry)
             launch_sample.addStats(machine.stats());
-            telemetry_.merge(launch_sample);
-        }
-        if (cacheable) {
-            cache_.emplace(key,
-                           CacheEntry{out, std::move(launch_sample)});
-            metrics::add(metrics::Counter::SimCacheMisses);
-        }
-    }
-    // Faults perturb after the cache stage: cached entries hold pure
-    // simulator output, and the injector's own rng advances once per
-    // launch either way.
-    if (auto *faults = sim::FaultInjector::active()) {
-        if (faults->shouldPoisonMeasurement()) {
-            out.assign(out.size(),
-                       std::numeric_limits<double>::quiet_NaN());
-        } else {
-            for (double &s : out)
-                s = faults->perturbSeconds(s);
-        }
-    }
+    });
 }
 
 TelemetrySample
@@ -326,11 +271,26 @@ GpuSimTarget::measure(const CudaExperiment &exp,
     SYNCPERF_ASSERT(cudaPrimitiveIsTypeless(exp.primitive) ||
                     cudaPrimitiveSupports(exp.primitive, exp.dtype));
     const auto pair = buildKernels(exp, mcfg_.opsPerMeasurement());
+    // One memo slot per timed function, alive for this call only.
+    // A system-scope fence draws per-launch PCIe jitter from the rng
+    // stream; every other kernel is a pure function of its inputs.
+    std::optional<LaunchResult> baseline_memo, test_memo;
+    const auto slot = [&](const GpuKernel &kernel,
+                          std::optional<LaunchResult> &memo) {
+        return mcfg_.sim_cache && !hasSystemFence(kernel) ? &memo
+                                                          : nullptr;
+    };
+    auto *baseline_slot = slot(pair.baseline, baseline_memo);
+    auto *test_slot = pair.test == pair.baseline
+                          ? baseline_slot
+                          : slot(pair.test, test_memo);
     return measurePrimitive(
         [&](std::vector<double> &out) {
-            runOnce(pair.baseline, launch, out);
+            runOnce(pair.baseline, launch, baseline_slot, out);
         },
-        [&](std::vector<double> &out) { runOnce(pair.test, launch, out); },
+        [&](std::vector<double> &out) {
+            runOnce(pair.test, launch, test_slot, out);
+        },
         mcfg_);
 }
 

@@ -9,10 +9,11 @@
 #define SYNCPERF_CORE_GPUSIM_TARGET_HH
 
 #include <cstdint>
-#include <unordered_map>
+#include <optional>
 #include <utility>
 #include <vector>
 
+#include "core/launch_memo.hh"
 #include "core/machine_pool.hh"
 #include "core/measure_config.hh"
 #include "core/primitives.hh"
@@ -34,13 +35,13 @@ struct CudaKernelPair
  * Measurement target backed by gpusim.
  *
  * Reuses one machine instance across launches (warm event-queue and
- * decode buffers) and memoizes results keyed by the simulated input.
- * Only kernels without a system-scope fence are cached: every other
- * op sequence is deterministic per (kernel, launch, warmup), so a
- * hit is bit-identical to re-simulating, while __threadfence_system
- * draws per-launch PCIe jitter and always re-simulates. Seeds are
- * consumed on hits too, so cache state never shifts the jitter
- * stream.
+ * decode buffers). Each measure() call memoizes its baseline and
+ * test launches (core/launch_memo.hh) for kernels without a
+ * system-scope fence: every other op sequence is deterministic per
+ * (kernel, launch, warmup), so a replay is bit-identical to
+ * re-simulating, while __threadfence_system draws per-launch PCIe
+ * jitter and always re-simulates. Seeds are consumed on replays too,
+ * so memoization never shifts the jitter stream.
  */
 class GpuSimTarget
 {
@@ -92,27 +93,26 @@ class GpuSimTarget
      * Telemetry accumulated by every launch since the last take
      * (all runs/attempts/retries of the measure() calls in between),
      * and reset the accumulator. Empty unless mcfg.telemetry is set.
-     * Cache hits contribute the stored telemetry of the original
-     * simulation, so the sample is independent of cache state.
+     * Memo replays contribute the stored telemetry of the original
+     * simulation, so the sample is independent of memoization.
      */
     TelemetrySample takeTelemetry();
 
     /**
      * Loop-batching activity accumulated over every launch this
-     * target actually simulated (cache hits replay stored results
-     * and add nothing). Feeds the loop_batch_* metrics counters and
-     * the --explain batch-ratio annotation.
+     * target actually simulated (memo replays add nothing). Feeds
+     * the loop_batch_* metrics counters and the --explain
+     * batch-ratio annotation.
      */
     const sim::LoopBatchCounters &loopBatch() const { return lb_; }
 
   private:
-    /** Simulate one launch, filling @p out with per-thread seconds. */
+    /** Run one launch, filling @p out with per-thread seconds, via
+     * @p memo (null: not memoizable). */
     void runOnce(const gpusim::GpuKernel &kernel,
-                 gpusim::LaunchConfig launch, std::vector<double> &out);
-
-    /** Digest of everything a jitter-free launch's outcome depends on. */
-    std::uint64_t cacheKey(const gpusim::GpuKernel &kernel,
-                           gpusim::LaunchConfig launch) const;
+                 gpusim::LaunchConfig launch,
+                 std::optional<LaunchResult> *memo,
+                 std::vector<double> &out);
 
     /**
      * Digest of everything the decoded form of @p kernel depends on
@@ -122,25 +122,16 @@ class GpuSimTarget
      */
     std::uint64_t imageKey(const gpusim::GpuKernel &kernel) const;
 
-    /** Pure simulator output (pre fault injection) of one launch. */
-    struct CacheEntry
-    {
-        std::vector<double> seconds;
-        TelemetrySample telemetry;
-    };
-
     gpusim::GpuConfig cfg_;
     MeasurementConfig mcfg_;
     std::uint64_t next_seed_;
 
     MachinePool::GpuLease lease_;
 
-    std::unordered_map<std::uint64_t, CacheEntry> cache_;
-
     /** Accumulates across launches until takeTelemetry(). */
     TelemetrySample telemetry_;
 
-    /** Accumulates across every simulated (non-cache-hit) launch. */
+    /** Accumulates across every simulated (non-replayed) launch. */
     sim::LoopBatchCounters lb_;
 };
 

@@ -39,12 +39,13 @@ struct MeasurementConfig
     int max_noise_retries = 3;
 
     /**
-     * Memoize simulator results keyed by the exact simulated input
-     * (program/kernel, placement, warmup). Only jitter-free
-     * configurations are ever cached, so cached and re-simulated
-     * results are bit-identical and this knob cannot change any
-     * output -- it is deliberately left out of the campaign's
-     * config hash. Disable to force every run through the machine
+     * Within one measurement, replay the repeat launches of its
+     * baseline and test programs/kernels from a memo that lives only
+     * for that measure() call (core/launch_memo.hh). Only jitter-free
+     * launches are memoized, so replayed and re-simulated results
+     * are bit-identical and this knob cannot change any output -- it
+     * is deliberately left out of the campaign's config hash.
+     * Disable to force every launch through the machine
      * (--no-sim-cache; used by the determinism tests).
      */
     bool sim_cache = true;

@@ -16,9 +16,9 @@
  * Determinism contract: samples accumulate in simulation order,
  * JSON objects are keyed through std::map (sorted), and files go
  * through AtomicFile -- the artifact tree is byte-identical at any
- * --jobs count. Samples ride inside the sim-result cache entries,
- * so a cache hit replays the exact telemetry of the original
- * simulation instead of silently dropping it.
+ * --jobs count. Samples ride inside the launch memo's slots
+ * (core/launch_memo.hh), so a memo hit replays the exact telemetry
+ * of the original simulation instead of silently dropping it.
  */
 
 #ifndef SYNCPERF_CORE_TELEMETRY_HH

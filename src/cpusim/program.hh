@@ -41,6 +41,8 @@ struct CpuOp
     std::uint64_t addr = 0;
     DataType dtype = DataType::Int32;
     int lock_id = 0;
+
+    bool operator==(const CpuOp &) const = default;
 };
 
 /** One software thread's repeated inner-loop body. */
@@ -48,6 +50,8 @@ struct CpuProgram
 {
     std::vector<CpuOp> body;
     long iterations = 1;   ///< timed repetitions of the body
+
+    bool operator==(const CpuProgram &) const = default;
 };
 
 } // namespace syncperf::cpusim

@@ -221,6 +221,8 @@ struct GpuOp
         op.scope = scope;
         return op;
     }
+
+    bool operator==(const GpuOp &) const = default;
 };
 
 /** A complete kernel. */
@@ -230,6 +232,8 @@ struct GpuKernel
     std::vector<GpuOp> body;
     std::vector<GpuOp> epilogue;
     long body_iters = 1;
+
+    bool operator==(const GpuKernel &) const = default;
 };
 
 /** Grid geometry of a launch. */

@@ -11,8 +11,9 @@
  * are seeded, so a failing test reproduces bit-for-bit.
  *
  * Hook points:
- *  - CpuSimTarget/GpuSimTarget::runOnce() consult active() to skew,
- *    jitter, or poison the per-thread runtimes they report;
+ *  - core::runMemoized(), which runs every CpuSimTarget/GpuSimTarget
+ *    launch, consults active() to skew, jitter, or poison the
+ *    per-thread runtimes it reports;
  *  - AtomicFile::open()/commit() consult the installed fault hook,
  *    which Scope wires to failWrites().
  */

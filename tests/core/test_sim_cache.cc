@@ -1,9 +1,11 @@
 /**
  * @file
- * Tests for the simulator result cache in CpuSimTarget and
- * GpuSimTarget: hits are bit-identical to re-simulating, jittered
- * configurations bypass the cache entirely, disabling the cache
- * never changes results, and the hit/miss counters land in the
+ * Tests for the measurement-local launch memo in CpuSimTarget and
+ * GpuSimTarget (core/launch_memo.hh): within one measure() call every
+ * repeat launch is a hit, bit-identical to re-simulating; nothing
+ * outlives the call, so a second measure() re-simulates; jittered
+ * configurations bypass the memo entirely, disabling it never
+ * changes results, and the hit/miss counters land in the
  * deterministic metrics class (identical across --jobs counts).
  */
 
@@ -12,8 +14,10 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <unistd.h>
 
@@ -21,6 +25,8 @@
 #include "core/campaign.hh"
 #include "core/cpusim_target.hh"
 #include "core/gpusim_target.hh"
+#include "core/launch_memo.hh"
+#include "sim/fault_injector.hh"
 
 namespace syncperf::core
 {
@@ -70,24 +76,43 @@ class SimCacheTest : public ::testing::Test
     }
 };
 
+/** Launches that repeat an earlier one inside a single measure()
+ * call of @p cfg without protocol retries: each of the baseline and
+ * test functions runs runs x attempts times, the first a miss. */
+long long
+repeatsPerMeasurement(const MeasurementConfig &cfg)
+{
+    return 2LL * (cfg.runs * cfg.attempts - 1);
+}
+
+/** Bit-identical measured values (not merely within 4 ULPs). */
+void
+expectSameMeasurement(const Measurement &a, const Measurement &b)
+{
+    EXPECT_EQ(a.per_op_seconds, b.per_op_seconds);
+    EXPECT_EQ(a.stddev_seconds, b.stddev_seconds);
+    EXPECT_EQ(a.run_values, b.run_values);
+}
+
 TEST_F(SimCacheTest, CpuRepeatLaunchesHitAndMatchFirstMeasurement)
 {
     // system2 is jitter-free, so every launch after the first pair
-    // (baseline, test) is a cache hit.
+    // (baseline, test) of a measure() call is a memo hit.
     CpuSimTarget target(cpusim::CpuConfig::system2(), cpuProtocol());
     OmpExperiment exp;
     exp.primitive = OmpPrimitive::Barrier;
 
     const auto first = target.measure(exp, 4);
+    ASSERT_EQ(first.retries, 0);
     EXPECT_EQ(misses(), 2); // one baseline + one test program
-    EXPECT_GT(hits(), 0);   // runs*attempts = 4 pairs, 3 repeats each
+    EXPECT_EQ(hits(), repeatsPerMeasurement(cpuProtocol()));
 
-    const auto hits_before = hits();
+    // The memo dies with the call: measuring the same point again
+    // re-simulates both programs and reproduces every value.
     const auto second = target.measure(exp, 4);
-    EXPECT_EQ(misses(), 2) << "repeat measurement re-simulated";
-    EXPECT_GT(hits(), hits_before);
-    EXPECT_DOUBLE_EQ(first.per_op_seconds, second.per_op_seconds);
-    EXPECT_DOUBLE_EQ(first.stddev_seconds, second.stddev_seconds);
+    EXPECT_EQ(misses(), 4) << "memo outlived its measure() call";
+    EXPECT_EQ(hits(), 2 * repeatsPerMeasurement(cpuProtocol()));
+    expectSameMeasurement(first, second);
 }
 
 TEST_F(SimCacheTest, CpuCacheDoesNotChangeResults)
@@ -136,13 +161,14 @@ TEST_F(SimCacheTest, GpuRepeatLaunchesHitAndMatchFirstMeasurement)
     const gpusim::LaunchConfig launch{2, 64};
 
     const auto first = target.measure(exp, launch);
+    ASSERT_EQ(first.retries, 0);
     EXPECT_EQ(misses(), 2);
-    EXPECT_GT(hits(), 0);
+    EXPECT_EQ(hits(), repeatsPerMeasurement(gpuProtocol()));
 
     const auto second = target.measure(exp, launch);
-    EXPECT_EQ(misses(), 2);
-    EXPECT_DOUBLE_EQ(first.per_op_seconds, second.per_op_seconds);
-    EXPECT_DOUBLE_EQ(first.stddev_seconds, second.stddev_seconds);
+    EXPECT_EQ(misses(), 4) << "memo outlived its measure() call";
+    EXPECT_EQ(hits(), 2 * repeatsPerMeasurement(gpuProtocol()));
+    expectSameMeasurement(first, second);
 }
 
 TEST_F(SimCacheTest, GpuDifferentLaunchGeometryMisses)
@@ -160,19 +186,23 @@ TEST_F(SimCacheTest, GpuDifferentLaunchGeometryMisses)
 TEST_F(SimCacheTest, GpuSystemFenceBypassesCache)
 {
     // __threadfence_system draws per-launch PCIe jitter; its kernels
-    // must never be served from (or stored into) the cache.
+    // must never be served from (or stored into) the memo.
     GpuSimTarget target(gpusim::GpuConfig::rtx4090(), gpuProtocol());
     CudaExperiment exp;
     exp.primitive = CudaPrimitive::ThreadFenceSystem;
     exp.location = Location::PrivateArray;
 
-    target.measure(exp, {2, 64});
-    target.measure(exp, {2, 64});
-    // The baseline kernel (two stores, no fence) is cacheable; only
-    // the test kernel carries the system fence.
-    EXPECT_EQ(misses(), 1);
-    target.measure(exp, {2, 64});
-    EXPECT_EQ(misses(), 1);
+    // The baseline kernel (two stores, no fence) is memoizable; only
+    // the test kernel carries the system fence. Each call therefore
+    // misses once (the baseline's first launch) and replays only the
+    // baseline's repeats.
+    const auto cfg = gpuProtocol();
+    for (int call = 1; call <= 3; ++call) {
+        const auto m = target.measure(exp, {2, 64});
+        ASSERT_EQ(m.retries, 0);
+        EXPECT_EQ(misses(), call);
+        EXPECT_EQ(hits(), call * (cfg.runs * cfg.attempts - 1LL));
+    }
 }
 
 /** Every regular file under @p dir, as relative path -> bytes. */
@@ -200,7 +230,7 @@ TEST_F(SimCacheTest, CampaignOutputIsByteIdenticalWithCacheOff)
         ("syncperf_sim_cache_" + std::to_string(::getpid()));
     fs::remove_all(base);
 
-    auto cpu = cpusim::CpuConfig::system2(); // jitter-free: cache engages
+    auto cpu = cpusim::CpuConfig::system2(); // jitter-free: memo engages
     cpu.cores_per_socket = 2;                // keep the sweep cheap
 
     auto cached_cfg = cpuProtocol();
@@ -237,9 +267,9 @@ TEST_F(SimCacheTest, CampaignOutputIsByteIdenticalWithCacheOff)
 
 TEST_F(SimCacheTest, CpuCacheHitsReplayIdenticalTelemetry)
 {
-    // A cache hit must contribute the stored telemetry of the
+    // A memo hit must contribute the stored telemetry of the
     // original simulation: the accumulated sample is identical with
-    // the cache on (mostly hits) and off (all re-simulated).
+    // the memo on (mostly hits) and off (all re-simulated).
     auto cached_cfg = cpuProtocol();
     cached_cfg.telemetry = true;
     auto uncached_cfg = cached_cfg;
@@ -294,6 +324,57 @@ TEST_F(SimCacheTest, TelemetryOffKeepsAccumulatorEmpty)
     exp.primitive = OmpPrimitive::Barrier;
     target.measure(exp, 4);
     EXPECT_TRUE(target.takeTelemetry().empty());
+}
+
+TEST_F(SimCacheTest, MemoSimulatesOnceAndFaultsPerturbEveryLaunch)
+{
+    // Faults apply after the memo stage: every launch, replayed or
+    // not, reports the skewed value, and the memo keeps the pure one.
+    sim::FaultInjector injector;
+    injector.setClockSkew(2.0);
+    sim::FaultInjector::Scope scope(injector);
+
+    std::optional<LaunchResult> memo;
+    TelemetrySample accumulated;
+    int simulations = 0;
+    const auto simulate = [&](std::vector<double> &out,
+                              TelemetrySample &launch) {
+        ++simulations;
+        out = {1.0, 3.0};
+        launch.counters["launch"] = 1;
+    };
+    for (int launch = 1; launch <= 3; ++launch) {
+        std::vector<double> out;
+        runMemoized(&memo, true, accumulated, out, simulate);
+        EXPECT_EQ(out, (std::vector<double>{2.0, 6.0})) << launch;
+    }
+    EXPECT_EQ(simulations, 1);
+    EXPECT_EQ(misses(), 1);
+    EXPECT_EQ(hits(), 2);
+    ASSERT_TRUE(memo.has_value());
+    EXPECT_EQ(memo->seconds, (std::vector<double>{1.0, 3.0}));
+    EXPECT_EQ(accumulated.counter("launch"), 3u)
+        << "replays must merge the stored telemetry";
+}
+
+TEST_F(SimCacheTest, NullMemoAlwaysSimulatesAndCountsNothing)
+{
+    TelemetrySample accumulated;
+    int simulations = 0;
+    for (int launch = 0; launch < 3; ++launch) {
+        std::vector<double> out;
+        runMemoized(nullptr, true, accumulated, out,
+                    [&](std::vector<double> &seconds,
+                        TelemetrySample &sample) {
+                        ++simulations;
+                        seconds = {1.0};
+                        sample.counters["launch"] = 1;
+                    });
+    }
+    EXPECT_EQ(simulations, 3);
+    EXPECT_EQ(hits(), 0);
+    EXPECT_EQ(misses(), 0);
+    EXPECT_EQ(accumulated.counter("launch"), 3u);
 }
 
 TEST_F(SimCacheTest, CacheCountersAreDeterministicClass)

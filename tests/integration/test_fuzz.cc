@@ -408,8 +408,9 @@ TEST_P(GpuContentionMonotonicity, PerThreadThroughputNonIncreasing)
         for (auto c : r.thread_cycles)
             max_cycles = std::max(max_cycles, c);
         const double rate = 1.0 / static_cast<double>(max_cycles);
-        if (previous_rate >= 0.0)
+        if (previous_rate >= 0.0) {
             EXPECT_LE(rate, previous_rate * 1.03) << threads;
+        }
         previous_rate = rate;
     }
 }
