@@ -200,6 +200,100 @@ BM_SelfRescheduleSteadyState(benchmark::State &state)
 BENCHMARK(BM_SelfRescheduleSteadyState);
 
 /**
+ * The GPU machine's shape: one self-rescheduling chain per resident
+ * warp (4,096, the thorough rtx_4090 sweep's peak queue depth) with
+ * the delta mix of that sweep -- ~2% same-tick, ~33% up to 2^12
+ * ticks, ~64% from 2^12 to 2^18, and ~1% far events past 2^18 --
+ * so the pending set is thousands deep and spread over a wide tick
+ * range, unlike the shallow, narrow legs above.
+ */
+void
+BM_WideDeltaSteadyState(benchmark::State &state)
+{
+    constexpr int chains = 4096;
+    constexpr std::uint64_t steps = 32 * chains;
+    EventQueue eq;
+    std::uint64_t sink = 0;
+    std::uint64_t remaining = 0;
+    std::uint64_t rng = 0x9e3779b97f4a7c15ULL;
+
+    struct Step
+    {
+        EventQueue *eq;
+        std::uint64_t *sink;
+        std::uint64_t *remaining;
+        std::uint64_t *rng;
+        int chain;
+
+        /** xorshift64: deterministic and allocation-free. */
+        std::uint64_t
+        next() const
+        {
+            std::uint64_t x = *rng;
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            return *rng = x;
+        }
+
+        /** Log-uniform in [2^lo, 2^hi). */
+        Tick
+        logUniform(unsigned lo, unsigned hi) const
+        {
+            const std::uint64_t r = next();
+            const unsigned bits = lo + static_cast<unsigned>(r % (hi - lo));
+            return (Tick{1} << bits) + ((r >> 8) & ((Tick{1} << bits) - 1));
+        }
+
+        Tick
+        delta() const
+        {
+            const std::uint64_t pick = next() % 1000;
+            if (pick < 21)
+                return 0;
+            if (pick < 21 + 326)
+                return logUniform(0, 12);
+            if (pick < 21 + 326 + 642)
+                return logUniform(12, 18);
+            return logUniform(18, 22);
+        }
+
+        void
+        operator()() const
+        {
+            ++*sink;
+            if (*remaining > 0) {
+                --*remaining;
+                eq->scheduleIn(delta(), *this, chain);
+            }
+        }
+    };
+
+    const auto seed = [&] {
+        remaining = steps;
+        for (int c = 0; c < chains; ++c) {
+            const Step step{&eq, &sink, &remaining, &rng, c};
+            eq.scheduleIn(step.delta(), step, c);
+        }
+        eq.run();
+        eq.reset();
+    };
+
+    seed(); // warm-up: grows the slot table and the queue's geometry
+
+    const std::uint64_t before = allocCount();
+    const std::uint64_t executed_before = eq.executed();
+    for (auto _ : state)
+        seed();
+    const std::uint64_t events = eq.executed() - executed_before;
+    const std::uint64_t allocs = allocCount() - before;
+
+    benchmark::DoNotOptimize(sink);
+    finish(state, events, allocs);
+}
+BENCHMARK(BM_WideDeltaSteadyState);
+
+/**
  * Contrast case: captures larger than EventCallback::inline_size buy
  * one boxed allocation per event by design. No zero-alloc assertion
  * -- the counter documents the cost of outgrowing the small buffer.

@@ -6,28 +6,38 @@
  * order), which makes every simulation in this repository
  * reproducible bit-for-bit regardless of container internals.
  *
- * The queue is the innermost loop of every simulated machine, so the
- * hot path is allocation-free: callbacks live in a small-buffer slot
- * in a dense free-listed side table (heap fallback only for
- * oversized captures), so the table stays as small as the peak
- * number of in-flight events rather than growing with every event
- * ever scheduled; cancellation is a lazy tombstone in the slot
- * rather than a hash set; and the 4-ary heap holds plain
- * {tick, key, slot} records so sift operations shuffle small PODs
- * instead of relocating callbacks. Steady-state schedule()/run()
- * cycles on a reused queue perform zero heap allocations per event.
+ * The queue is the innermost loop of every simulated machine, so it
+ * is a calendar queue with an allocation-free hot path:
  *
- * Handles are generation-tagged slot references: executing,
- * cancelling, or reset() bumps the slot's generation, which
- * invalidates every outstanding handle to it. Execution order is
- * the total order (tick, priority, schedule call order) -- unique
- * per event -- so it is independent of the heap's arity and of slot
- * reuse, and results stay reproducible bit-for-bit.
+ * - Callbacks live in a small-buffer slot of a dense free-listed side
+ *   table (heap fallback only for oversized captures), so the table
+ *   stays as small as the peak number of in-flight events.
+ * - Events within one "year" of the current bucket sit in a
+ *   power-of-two ring of tick buckets: intrusive singly linked lists
+ *   threaded through a per-slot node array, plus a bitmap of
+ *   non-empty buckets that run() scans a word at a time. Scheduling
+ *   is a push onto the bucket's list; a bucket is sorted into
+ *   (tick, priority, seq) order once, when the scan reaches it, and
+ *   later events for the current bucket are inserted in order.
+ * - Events past the year wait in a small 4-ary overflow heap and
+ *   migrate into the ring as the scan advances.
+ * - The geometry (bucket count, bucket width) sizes itself from the
+ *   pending population and its tick spread. It only regrows when the
+ *   population outgrows the ring, the overflow heap fills, or the
+ *   current bucket crowds, and reset() keeps it, so a reused machine
+ *   schedules into a warm ring.
+ *
+ * Steady-state schedule()/run() cycles on a reused queue perform
+ * zero heap allocations per event. Execution order is the total
+ * order (tick, priority, schedule call order) -- unique per event --
+ * so it is independent of the ring's geometry and of slot reuse, and
+ * results stay reproducible bit-for-bit.
  */
 
 #ifndef SYNCPERF_SIM_EVENT_QUEUE_HH
 #define SYNCPERF_SIM_EVENT_QUEUE_HH
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <new>
@@ -39,9 +49,6 @@
 
 namespace syncperf::sim
 {
-
-/** Handle identifying a scheduled event for cancellation. */
-using EventId = std::uint64_t;
 
 /**
  * Type-erased nullary callback with a small-buffer slot.
@@ -158,7 +165,7 @@ class EventCallback
 };
 
 /**
- * Min-heap event queue with stable same-tick ordering.
+ * Calendar event queue with stable same-tick ordering.
  *
  * Not thread safe: each simulated machine owns one queue and runs it
  * from a single host thread.
@@ -176,33 +183,25 @@ class EventQueue
      * @param cb Action to execute (any nullary callable, including
      *           move-only ones).
      * @param priority Tie-break within a tick; lower runs first.
-     * @return Handle usable with deschedule().
      */
-    EventId schedule(Tick when, EventCallback cb,
-                     int priority = default_priority);
+    void schedule(Tick when, EventCallback cb,
+                  int priority = default_priority);
 
     /** Schedule relative to the current time. */
-    EventId
+    void
     scheduleIn(Tick delay, EventCallback cb,
                int priority = default_priority)
     {
-        return schedule(now_ + delay, std::move(cb), priority);
+        schedule(now_ + delay, std::move(cb), priority);
     }
-
-    /**
-     * Cancel a pending event.
-     *
-     * @return true if the event was pending and is now cancelled.
-     */
-    bool deschedule(EventId id);
 
     /** Current simulated time. */
     Tick now() const { return now_; }
 
-    /** Pending (non-cancelled) event count. */
+    /** Pending event count. */
     std::size_t pending() const { return live_; }
 
-    /** True when no live events remain. */
+    /** True when no events remain. */
     bool empty() const { return live_ == 0; }
 
     /**
@@ -212,74 +211,58 @@ class EventQueue
      */
     Tick run();
 
-    /**
-     * Run events with time <= @p limit; stops with now() == limit if
-     * events remain beyond it.
-     */
-    Tick runUntil(Tick limit);
-
     /** Total number of events executed over the queue's lifetime. */
     std::uint64_t executed() const { return executed_; }
 
     /** High-water pending() mark since construction or reset(). */
     std::size_t maxPending() const { return max_pending_; }
 
-    /** Sentinel tick: no pending foreign event / no horizon pin. */
+    /** Sentinel tick: nothing pending / no horizon pin. */
     static constexpr Tick no_tick = ~Tick{0};
 
     /**
-     * Tick of the earliest pending (non-cancelled) event, or no_tick
-     * when the queue is empty. O(1): the heap root is the earliest
-     * live event unless it is a tombstone, in which case a linear
-     * scan resolves it (tombstones are rare by construction).
+     * Tick of the earliest pending event, or no_tick when the queue
+     * is empty: the first non-empty bucket's earliest event, or the
+     * overflow heap's root when the ring is empty.
      */
     Tick earliestPending() const;
 
     /**
      * For each priority p in [0, out.size()), set out[p] to the tick
-     * of p's earliest pending (non-cancelled) event, or no_tick when
-     * p has none scheduled. Priorities outside the range are
-     * ignored. Linear in the pending set (a batching-boundary query,
-     * not a hot-path one). The machines use actor indices as
-     * priorities, so this yields each actor's next wake-up -- the
-     * liveness floor for actor-local time stamps, which only that
-     * actor's later ops can read.
+     * of p's earliest pending event, or no_tick when p has none
+     * scheduled. Priorities outside the range are ignored. Linear in
+     * the pending set (a batching-boundary query, not a hot-path
+     * one). The machines use actor indices as priorities, so this
+     * yields each actor's next wake-up -- the liveness floor for
+     * actor-local time stamps, which only that actor's later ops can
+     * read.
      */
     void earliestPendingPerPriority(std::vector<Tick> &out) const;
 
     /**
-     * Earliest pending (non-cancelled) event whose priority differs
-     * from @p priority, or the horizon pin when that is earlier;
-     * no_tick when neither exists. Linear in the pending set (it is
-     * a batching-boundary query, not a hot-path one). Tombstoned
-     * events never count: a cancelled event can land nowhere.
-     */
-    Tick nextForeignTick(int priority) const;
-
-    /**
      * Append a canonical encoding of the pending set to @p out: the
-     * live count, then a (when - base, biased priority) pair per
-     * event in execution order. Cancelled tombstones are skipped.
-     * Two queues with equal encodings against their respective bases
-     * execute the same event pattern at the same offsets, whatever
-     * their internal heap layout or schedule-sequence numbers.
+     * pending count, then a (when - base, biased priority) pair per
+     * event in execution order. Two queues with equal encodings
+     * against their respective bases execute the same event pattern
+     * at the same offsets, whatever their ring geometry or
+     * schedule-sequence numbers.
      */
     void encodePending(Tick base, std::vector<std::uint64_t> &out) const;
 
     /**
-     * Add @p delta to the tick of every pending event (tombstones
-     * included; they are inert either way). Relative order is
-     * untouched -- the packed key makes this a monotone transform --
-     * so this is how the loop batcher advances a whole steady-state
-     * window in O(pending) without re-heapifying.
+     * Add @p delta to the tick of every pending event. Relative order
+     * is untouched -- the packed key makes this a monotone transform
+     * -- so this is how the loop batcher advances a whole
+     * steady-state window in O(pending): the ring is rebuilt around
+     * the shifted events. Panics, before changing anything, when a
+     * shifted tick would leave the packed 40-bit range.
      */
     void shiftPending(Tick delta);
 
     /**
-     * Pin the batching horizon at @p when: nextForeignTick() never
-     * reports a tick past the pin, so no batch window can jump
-     * across it. Hook for fault-injection points and tests; cleared
-     * by clearHorizonPin() and reset().
+     * Pin the batching horizon at @p when: the loop batcher never
+     * jumps a window past the pin. Hook for fault-injection points
+     * and tests; cleared by clearHorizonPin() and reset().
      */
     void pinHorizon(Tick when) { horizon_pin_ = when; }
 
@@ -291,10 +274,9 @@ class EventQueue
 
     /**
      * Return the queue to its initial state (time 0, nothing
-     * pending) while keeping allocated capacity, so a reused machine
-     * schedules into warm buffers. Every outstanding handle is
-     * invalidated: deschedule() on one returns false, like executed
-     * ones.
+     * pending) while keeping allocated capacity and the ring
+     * geometry, so a reused machine schedules into warm buffers.
+     * Pending callbacks are destroyed without running.
      */
     void reset();
 
@@ -307,12 +289,12 @@ class EventQueue
 
     /**
      * Pre-size the queue for @p events concurrently pending events:
-     * the heap's capacity and the slot table both grow to at least
-     * that many entries, so a machine cloned from a warmed template
-     * never pays the incremental grow-as-you-go allocations of its
-     * first run. Execution order is (tick, priority, schedule order)
-     * -- independent of slot indices -- so pre-populating the free
-     * list cannot change any simulation result. Never shrinks.
+     * the slot table and the ring both grow to hold that many, so a
+     * machine cloned from a warmed template never pays the
+     * incremental grow-as-you-go allocations of its first run.
+     * Execution order is (tick, priority, schedule order) --
+     * independent of slot indices and ring geometry -- so this cannot
+     * change any simulation result. Never shrinks.
      */
     void reserve(std::size_t events);
 
@@ -321,13 +303,6 @@ class EventQueue
     std::size_t slotCapacity() const { return slots_.size(); }
 
   private:
-    /** Lifecycle of an allocated slot. */
-    enum class SlotState : unsigned char
-    {
-        Pending,
-        Cancelled, ///< tombstone: freed when its heap record pops
-    };
-
     /** Priority bias: int priorities in [-2^23, 2^23) map onto the
      * unsigned 24-bit field of the packed ordering key (the machines
      * use warp/thread indices as priorities, and a big reduction
@@ -339,33 +314,46 @@ class EventQueue
      * time at GPU clocks -- orders of magnitude beyond any run). */
     static constexpr unsigned when_shift = 24;
 
+    /** One past the largest tick the packed key holds. */
+    static constexpr Tick tick_limit = Tick{1} << (64 - when_shift);
+
+    /** End-of-list / empty-bucket marker. */
+    static constexpr std::uint32_t nil = ~std::uint32_t{0};
+
     /**
-     * Ordering record kept in the heap: 16 packed bytes, so sift
-     * operations move two words per level and never touch the
-     * callbacks.
+     * Ordering key and ring link of one slot.
      *
      * hi = tick : 40 | biased priority : 24 -- one compare orders by
-     * (tick, priority). lo = schedule seq : 32 | slot index : 32 --
-     * the seq breaks remaining ties by schedule call order, compared
-     * circularly (see before()), so the 32-bit counter never wraps
-     * incorrectly while fewer than 2^31 events coexist.
+     * (tick, priority). seq breaks remaining ties by schedule call
+     * order, compared circularly (see before()), so the 32-bit
+     * counter never wraps incorrectly while fewer than 2^31 events
+     * coexist.
      */
-    struct Entry
+    struct Node
     {
         std::uint64_t hi;
-        std::uint64_t lo;
+        std::uint32_t seq;
+        std::uint32_t next; ///< next slot in the bucket, or nil
+    };
 
-        Tick when() const { return hi >> when_shift; }
+    /** Ordering record: a node's key plus its slot, 16 packed bytes,
+     * so overflow-heap sifts and bucket sorts compare adjacent
+     * records instead of chasing scattered nodes. */
+    struct Key
+    {
+        std::uint64_t hi;
+        std::uint64_t lo; ///< seq : 32 | slot : 32
+
         std::uint32_t slot() const
         {
             return static_cast<std::uint32_t>(lo);
         }
     };
 
-    /** True when @p a executes before @p b: the total order
-     * (tick, priority, schedule order), unique per event. */
+    /** True when @p a executes before @p b: the total order (tick,
+     * priority, schedule order), unique per event. */
     static bool
-    before(const Entry &a, const Entry &b)
+    before(const Key &a, const Key &b)
     {
         if (a.hi != b.hi)
             return a.hi < b.hi;
@@ -376,44 +364,132 @@ class EventQueue
                    static_cast<std::uint32_t>(b.lo >> 32)) < 0;
     }
 
-    /** Callback plus handle-validation state for one slot. */
-    struct Slot
-    {
-        EventCallback action;
-        std::uint32_t gen = 0;
-        SlotState state = SlotState::Pending;
-    };
+    /** Place a keyed node, at or past the current bucket, into its
+     * ring bucket (unsorted) or the overflow heap. */
+    void place(std::uint32_t slot);
 
-    /** Restore heap order for a new element at index @p i. */
-    void siftUp(std::size_t i);
+    /** Insert into the current bucket, which the scan has sorted. */
+    void insertSorted(std::uint32_t slot);
 
-    /** Restore heap order downward from index @p i. */
-    void siftDown(std::size_t i);
+    /** Push onto the overflow heap. */
+    void farPush(std::uint32_t slot);
 
-    /** Pop the earliest ordering record off the heap. */
-    Entry popTop();
+    /** Pop the overflow heap's root. */
+    std::uint32_t farPop();
 
-    /** Return @p slot to the free list and kill its handles. */
+    /** Move overflow events that now fall within the year into the
+     * ring. */
+    void migrate();
+
+    /** Sort bucket @p idx into execution order (the scan reached
+     * it). */
+    void sortBucket(std::size_t idx);
+
+    /** Ring index of the first non-empty bucket at or after the
+     * current one; the ring must hold an event. */
+    std::size_t firstBucket() const;
+
+    /** Unlink and return the earliest pending event's slot. */
+    std::uint32_t popNext();
+
+    /** Empty every ring bucket. */
+    void clearRing();
+
+    /** Call @p fn(idx) for every non-empty ring bucket, in year
+     * order: from the current bucket around the ring. */
+    template <typename F>
     void
-    freeSlot(std::uint32_t slot)
+    forEachBucket(F &&fn) const
     {
-        ++slots_[slot].gen;
-        free_.push_back(slot);
+        const auto visit = [&](std::size_t w, std::uint64_t bits) {
+            for (; bits != 0; bits &= bits - 1) {
+                fn(w << 6 |
+                   static_cast<std::size_t>(std::countr_zero(bits)));
+            }
+        };
+        const std::size_t words = bitmap_.size();
+        if (words == 0)
+            return;
+        const std::size_t start = base_ & mask_;
+        const std::uint64_t from_start = ~std::uint64_t{0}
+                                         << (start & 63);
+        visit(start >> 6, bitmap_[start >> 6] & from_start);
+        for (std::size_t i = 1; i < words; ++i) {
+            const std::size_t w = ((start >> 6) + i) & (words - 1);
+            visit(w, bitmap_[w]);
+        }
+        // The start word's low bits are the year's last buckets.
+        visit(start >> 6, bitmap_[start >> 6] & ~from_start);
     }
 
-    void executeOne();
+    /** Call @p fn(slot) for every pending event: the ring's buckets
+     * in year order (each unsorted unless current), then the
+     * overflow heap in heap order. */
+    template <typename F>
+    void
+    forEachPending(F &&fn) const
+    {
+        forEachBucket([&](std::size_t idx) {
+            for (std::uint32_t n = heads_[idx]; n != nil;
+                 n = nodes_[n].next) {
+                fn(n);
+            }
+        });
+        for (const Key &k : far_)
+            fn(k.slot());
+    }
 
-    std::vector<Entry> heap_; ///< 4-ary min-heap ordered by before()
-    std::vector<Slot> slots_;
+    /** Ordering record of @p slot's node. */
+    Key
+    keyOf(std::uint32_t slot) const
+    {
+        return Key{nodes_[slot].hi,
+                   static_cast<std::uint64_t>(nodes_[slot].seq) << 32 |
+                       slot};
+    }
+
+    /**
+     * Re-place every pending event with its tick advanced by @p delta
+     * into a ring of @p buckets buckets (a power of two, never fewer
+     * than today) of 2^@p shift ticks each, whose year starts at the
+     * bucket of @p anchor -- a tick no pending event precedes.
+     */
+    void rebuild(std::size_t buckets, unsigned shift, Tick anchor,
+                 Tick delta);
+
+    /** Re-derive the geometry from the pending set, growing the ring
+     * to at least twice @p population buckets; the year covers all
+     * but the farthest sixteenth of pending events. */
+    void regrid(std::size_t population);
+
+    std::vector<EventCallback> slots_;
+    std::vector<Node> nodes_;         ///< parallel to slots_
     std::vector<std::uint32_t> free_; ///< reusable slot indices
-    std::uint32_t next_seq_ = 0;      ///< schedule-order tie-break
+
+    std::vector<std::uint32_t> heads_; ///< bucket list heads (ring)
+    std::vector<std::uint64_t> bitmap_; ///< non-empty buckets
+    std::vector<Key> far_; ///< 4-ary min-heap of events past the year
+    std::size_t mask_ = 0;  ///< heads_.size() - 1
+    unsigned shift_ = 0;    ///< log2 of the bucket width in ticks
+    Tick base_ = 0;         ///< absolute index of the current bucket
+    bool base_sorted_ = false; ///< current bucket in execution order
+    std::size_t ring_live_ = 0; ///< events in the ring
+    std::size_t grow_at_ = 0;   ///< population that regrows the ring
+    /** Insertion steps spent in the sorted current bucket since the
+     * last regrid, against executed() at that point: a crowded
+     * current bucket means the buckets are too wide. */
+    std::uint64_t crowd_ = 0;
+    std::uint64_t crowd_mark_ = 0;
+
+    std::uint32_t next_seq_ = 0; ///< schedule-order tie-break
     Tick now_ = 0;
     std::size_t live_ = 0;
     std::size_t max_pending_ = 0;
     std::uint64_t executed_ = 0;
     Tick horizon_pin_ = no_tick;
-    /** Reused sort buffer of encodePending(). */
-    mutable std::vector<Entry> order_scratch_;
+    /** Reused buffer of bucket sorts, rebuilds, regrids and
+     * encodePending(). */
+    mutable std::vector<Key> scratch_;
 };
 
 } // namespace syncperf::sim
